@@ -32,6 +32,17 @@ impl Scale {
         }
     }
 
+    /// Parses the optional scale argument of a command line: absent means
+    /// [`Scale::Quick`], and a token [`Scale::parse`] rejects is an error
+    /// naming it, never a silent fallback.
+    pub fn from_arg(token: Option<&str>) -> Result<Scale, String> {
+        match token {
+            None => Ok(Scale::Quick),
+            Some(token) => Scale::parse(token)
+                .ok_or_else(|| format!("unknown scale `{token}` (expected tiny, quick or full)")),
+        }
+    }
+
     /// The token [`Scale::parse`] accepts for this scale — the canonical
     /// wire spelling used by job specs and CLIs.
     pub fn label(self) -> &'static str {
@@ -254,6 +265,14 @@ mod tests {
         for scale in [Scale::Tiny, Scale::Quick, Scale::Full] {
             assert_eq!(Scale::parse(scale.label()), Some(scale));
         }
+    }
+
+    #[test]
+    fn from_arg_defaults_to_quick_and_rejects_typos() {
+        assert_eq!(Scale::from_arg(None), Ok(Scale::Quick));
+        assert_eq!(Scale::from_arg(Some("full")), Ok(Scale::Full));
+        let err = Scale::from_arg(Some("quik")).unwrap_err();
+        assert!(err.contains("`quik`"), "{err}");
     }
 
     #[test]

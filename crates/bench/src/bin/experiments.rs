@@ -8,7 +8,8 @@
 //!
 //! The first argument selects the experiment (`e1` … `e11`, `fleet`, `p1`,
 //! `sweep`, or `all`), the second the scale (`tiny`, `quick`, `full`;
-//! default `quick`). With
+//! default `quick`; any other token prints the usage and exits with status
+//! 2). With
 //! `--csv <dir>` every table is additionally written as a CSV file and as a
 //! JSON document into the given directory. With `--trace <path>` the driver
 //! additionally runs one telemetry-instrumented adaptive epidemic (the P1
@@ -67,10 +68,14 @@ fn main() {
         .map(|s| s.as_str())
         .unwrap_or("all")
         .to_string();
-    let scale = positionals
-        .get(1)
-        .and_then(|a| Scale::parse(a))
-        .unwrap_or(Scale::Quick);
+    let scale = match Scale::from_arg(positionals.get(1).map(|a| a.as_str())) {
+        Ok(scale) => scale,
+        Err(why) => {
+            eprintln!("{why}");
+            print_usage();
+            std::process::exit(2);
+        }
+    };
 
     if let Some(addr) = remote_addr {
         run_remote(&addr, &selection, scale);

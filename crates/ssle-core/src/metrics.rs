@@ -16,6 +16,7 @@ use crate::groups::GroupPartition;
 use crate::params::Params;
 use crate::ranking::RankPhase;
 use crate::state::AgentState;
+use crate::verify::Message;
 use serde::Serialize;
 
 /// Bit-complexity breakdown of the `ElectLeader_r` state space for one
@@ -90,7 +91,8 @@ pub fn state_bits(params: &Params) -> StateBits {
 }
 
 /// An estimate of the in-memory footprint (in bytes) of one agent state as
-/// represented by this implementation, counting heap payloads.
+/// represented by this implementation, counting heap payloads: for a
+/// verifier, its flat message buffer and its observations array.
 pub fn measured_state_bytes(state: &AgentState) -> usize {
     let base = std::mem::size_of::<AgentState>();
     match state {
@@ -106,16 +108,10 @@ pub fn measured_state_bytes(state: &AgentState) -> usize {
             base + channel + phase
         }
         AgentState::Verifying(v) => {
-            let dc = match v.sv.dc.active() {
-                Some(active) => {
-                    let msgs: usize = (0..active.msgs.group_size())
-                        .map(|g| std::mem::size_of_val(active.msgs.messages_for(g)))
-                        .sum();
-                    let obs = active.observations.len() * std::mem::size_of::<u64>();
-                    msgs + obs
-                }
-                None => 0,
-            };
+            let dc = v.sv.dc.active().map_or(0, |active| {
+                active.msgs.total() * std::mem::size_of::<Message>()
+                    + active.observations.len() * std::mem::size_of::<u64>()
+            });
             base + dc
         }
     }
@@ -182,6 +178,18 @@ mod tests {
         let verifier_bytes = measured_state_bytes(&verifier);
         assert!(verifier_bytes > ranker_bytes);
         assert!(ranker_bytes >= reset_bytes);
+    }
+
+    #[test]
+    fn fresh_verifier_payload_is_its_messages_and_observations() {
+        // A fresh verifier holds 2m messages of each of its group's m
+        // governors and observes the 2m² IDs its own rank governs.
+        let p = ElectLeader::with_n_r(32, 8).unwrap();
+        let m = p.partition().group_size_of(3);
+        let cells = 2 * m * m;
+        let payload =
+            measured_state_bytes(&p.verifier_state(3)) - std::mem::size_of::<AgentState>();
+        assert_eq!(payload, cells * std::mem::size_of::<Message>() + cells * 8);
     }
 
     #[test]

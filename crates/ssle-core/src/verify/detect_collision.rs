@@ -13,12 +13,21 @@
 //! Interactions between agents whose ranks fall in different groups of the
 //! rank-space partition are ignored, which is what produces the space–time
 //! trade-off (Section 3.3).
+//!
+//! A same-group step moves all `~4m²` messages of both agents, so it is one
+//! kernel over the two flat [`MessageStore`]s: a read pass ID-merges both
+//! stores into per-thread scratch (an ID found in both is the Protocol 3
+//! collision), Protocols 12 and 13 touch only the two agents' own governors
+//! (re-merged afterwards), and a write pass routes the merged messages back
+//! (Protocol 14). Once the scratch and the stores have grown to their working
+//! size, a step allocates nothing.
 
 use crate::groups::GroupPartition;
 use crate::params::Params;
 use crate::verify::messages::{Message, MessageStore, Observations, INITIAL_CONTENT};
 use ppsim::InteractionCtx;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// The non-error per-agent state of `DetectCollision_r` (Fig. 3).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -109,51 +118,39 @@ pub fn detect_collision(
         return;
     }
     // A pre-existing ⊤ is handled by the wrapper; nothing to do here.
-    if u_dc.is_error() || v_dc.is_error() {
+    let (DetectCollisionState::Active(u), DetectCollisionState::Active(v)) =
+        (&mut *u_dc, &mut *v_dc)
+    else {
         return;
-    }
-
-    // Line 3–4: shared rank or two copies of the same circulating message is
-    // an immediate, obvious collision.
-    let obvious = {
-        let (u, v) = (
-            u_dc.active().expect("checked"),
-            v_dc.active().expect("checked"),
-        );
-        u_rank == v_rank || u.msgs.shares_message_with(&v.msgs)
     };
-    if obvious {
+
+    // Line 3–4: a shared rank is an immediate, obvious collision.
+    let error = u_rank == v_rank
+        || SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            // So are two copies of the same circulating message.
+            if scratch.merge(&u.msgs, &v.msgs) {
+                return true;
+            }
+            // Line 5: CheckMessageConsistency both ways (may raise the error).
+            if check_message_consistency(partition, u_rank, u, v)
+                || check_message_consistency(partition, v_rank, v, u)
+            {
+                return true;
+            }
+            // Lines 6–7: refresh signatures / message contents, then
+            // load-balance. Only the two owners' governors changed contents.
+            update_messages(params, partition, u_rank, u, v, ctx);
+            update_messages(params, partition, v_rank, v, u, ctx);
+            for rank in [u_rank, v_rank] {
+                scratch.remerge(partition.position_in_group(rank), &u.msgs, &v.msgs);
+            }
+            scratch.route(&mut u.msgs, &mut v.msgs);
+            false
+        });
+    if error {
         *u_dc = DetectCollisionState::Error;
         *v_dc = DetectCollisionState::Error;
-        return;
-    }
-
-    // Line 5: CheckMessageConsistency both ways (may raise the error).
-    let inconsistent = {
-        let (u, v) = (
-            u_dc.active().expect("checked"),
-            v_dc.active().expect("checked"),
-        );
-        check_message_consistency(partition, u_rank, u, v)
-            || check_message_consistency(partition, v_rank, v, u)
-    };
-    if inconsistent {
-        *u_dc = DetectCollisionState::Error;
-        *v_dc = DetectCollisionState::Error;
-        return;
-    }
-
-    // Lines 6–7: refresh signatures / message contents, then load-balance.
-    {
-        let (u_slot, v_slot) = (&mut *u_dc, &mut *v_dc);
-        let (u, v) = match (u_slot, v_slot) {
-            (DetectCollisionState::Active(u), DetectCollisionState::Active(v)) => (u, v),
-            _ => unreachable!("both states are active at this point"),
-        };
-        update_messages(params, partition, u_rank, u, v, ctx);
-        update_messages(params, partition, v_rank, v, u, ctx);
-        let m = partition.group_size_of(u_rank);
-        balance_load(u, v, m);
     }
 }
 
@@ -198,21 +195,15 @@ pub fn update_messages(
         let signature = owner.signature;
         for msg in owner.msgs.messages_for_mut(governor) {
             msg.content = signature;
-        }
-        for msg in owner.msgs.messages_for(governor).to_vec() {
             owner.observations.set(msg.id, signature);
         }
     }
 
     // Lines 9–12: rewrite the partner's messages governed by the owner.
     let signature = owner.signature;
-    let mut touched: Vec<u32> = Vec::new();
     for msg in other.msgs.messages_for_mut(governor) {
         msg.content = signature;
-        touched.push(msg.id);
-    }
-    for id in touched {
-        owner.observations.set(id, signature);
+        owner.observations.set(msg.id, signature);
     }
 }
 
@@ -220,57 +211,185 @@ pub fn update_messages(
 /// every `(governing rank, content)` pair each agent ends up with half of the
 /// messages (±1), the agent currently holding more messages overall receiving
 /// the smaller half.
+///
+/// Governors are taken in order and each governor's content classes in
+/// ascending content order; within a class the smaller half is the lowest
+/// IDs. `group_size` must be the group size both stores were built for.
 pub fn balance_load(u: &mut CollisionState, v: &mut CollisionState, group_size: usize) {
-    let mut u_new: Vec<Vec<Message>> = vec![Vec::new(); group_size];
-    let mut v_new: Vec<Vec<Message>> = vec![Vec::new(); group_size];
-    let mut u_assigned = 0usize;
-    let mut v_assigned = 0usize;
+    assert_eq!(
+        u.msgs.group_size(),
+        group_size,
+        "stores are built for their group's size"
+    );
+    SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        scratch.merge(&u.msgs, &v.msgs);
+        scratch.route(&mut u.msgs, &mut v.msgs);
+    });
+}
 
-    for governor in 0..group_size {
-        // Combine both agents' messages for this governor. IDs are disjoint:
-        // a shared ID would have been caught as an obvious collision before
-        // load balancing runs.
-        let mut combined: Vec<Message> =
-            Vec::with_capacity(u.msgs.count_for(governor) + v.msgs.count_for(governor));
-        combined.extend_from_slice(u.msgs.messages_for(governor));
-        combined.extend_from_slice(v.msgs.messages_for(governor));
-        combined.sort_by_key(|m| (m.content, m.id));
+thread_local! {
+    /// The same-group kernel's working memory, kept per thread so steps
+    /// reuse it instead of allocating.
+    static SCRATCH: RefCell<KernelScratch> = RefCell::new(KernelScratch::default());
+}
 
-        let mut idx = 0;
-        while idx < combined.len() {
-            // One run of equal content.
-            let content = combined[idx].content;
-            let mut end = idx;
-            while end < combined.len() && combined[end].content == content {
-                end += 1;
-            }
-            let run = &combined[idx..end];
-            let floor_len = run.len() / 2;
-            let (floor_ids, ceil_ids) = run.split_at(floor_len);
-            // The agent holding more messages so far receives the smaller
-            // (floor) half.
-            if u_assigned > v_assigned {
-                u_new[governor].extend_from_slice(floor_ids);
-                v_new[governor].extend_from_slice(ceil_ids);
-                u_assigned += floor_ids.len();
-                v_assigned += ceil_ids.len();
-            } else {
-                v_new[governor].extend_from_slice(floor_ids);
-                u_new[governor].extend_from_slice(ceil_ids);
-                v_assigned += floor_ids.len();
-                u_assigned += ceil_ids.len();
-            }
-            idx = end;
+/// Both agents' messages merged by governor and ID, plus the content classes
+/// of the governor being routed.
+#[derive(Default)]
+struct KernelScratch {
+    /// Both stores' messages, governor by governor, each run sorted by ID.
+    merged: Vec<Message>,
+    /// `bounds[g]..bounds[g + 1]` is governor `g`'s run in `merged`.
+    bounds: Vec<usize>,
+    /// The content classes of one governor, sorted by content.
+    classes: Vec<ContentClass>,
+}
+
+/// One `(governor, content)` class of Protocol 14 and how it is split.
+#[derive(Clone, Copy)]
+struct ContentClass {
+    content: u64,
+    len: usize,
+    /// Messages of the smaller (floor) half still to hand out; the class's
+    /// messages arrive by increasing ID, so the floor half is the lowest IDs.
+    floor_left: usize,
+    /// Whether `u` receives the floor half.
+    floor_to_u: bool,
+}
+
+impl KernelScratch {
+    /// Merges the two stores governor by governor and returns whether they
+    /// share a `(governor, ID)` pair.
+    fn merge(&mut self, u: &MessageStore, v: &MessageStore) -> bool {
+        assert_eq!(
+            u.group_size(),
+            v.group_size(),
+            "the two stores belong to one group"
+        );
+        self.merged.clear();
+        self.bounds.clear();
+        self.bounds.push(0);
+        let mut shared = false;
+        for governor in 0..u.group_size() {
+            let (a, b) = (u.messages_for(governor), v.messages_for(governor));
+            let start = self.merged.len();
+            self.merged
+                .resize(start + a.len() + b.len(), Message { id: 0, content: 0 });
+            shared |= merge_by_id(&mut self.merged[start..], a, b);
+            self.bounds.push(self.merged.len());
         }
+        shared
     }
 
-    for governor in 0..group_size {
-        u_new[governor].sort_by_key(|m| m.id);
-        v_new[governor].sort_by_key(|m| m.id);
-        u.msgs
-            .set_messages_for(governor, std::mem::take(&mut u_new[governor]));
-        v.msgs
-            .set_messages_for(governor, std::mem::take(&mut v_new[governor]));
+    /// Merges `governor` again after its contents were rewritten in place.
+    fn remerge(&mut self, governor: usize, u: &MessageStore, v: &MessageStore) {
+        let run = self.bounds[governor]..self.bounds[governor + 1];
+        merge_by_id(
+            &mut self.merged[run],
+            u.messages_for(governor),
+            v.messages_for(governor),
+        );
+    }
+
+    /// Protocol 14 on the merged messages: rebuilds `u` and `v` from them.
+    fn route(&mut self, u: &mut MessageStore, v: &mut MessageStore) {
+        // Each class's smaller half goes to whichever agent holds more so
+        // far, so neither ends up with more than half (rounded up) of all.
+        let half = self.merged.len().div_ceil(2);
+        u.begin_rebuild(half);
+        v.begin_rebuild(half);
+        let (mut u_assigned, mut v_assigned) = (0usize, 0usize);
+        let classes = &mut self.classes;
+        for (governor, bounds) in self.bounds.windows(2).enumerate() {
+            let run = &self.merged[bounds[0]..bounds[1]];
+            classes.clear();
+            let mut hint = 0;
+            for msg in run {
+                hint = class_of(classes, hint, msg.content);
+                classes[hint].len += 1;
+            }
+            let (u_before, v_before) = (u_assigned, v_assigned);
+            for class in classes.iter_mut() {
+                class.floor_left = class.len / 2;
+                class.floor_to_u = u_assigned > v_assigned;
+                let ceil = class.len - class.floor_left;
+                if class.floor_to_u {
+                    u_assigned += class.floor_left;
+                    v_assigned += ceil;
+                } else {
+                    v_assigned += class.floor_left;
+                    u_assigned += ceil;
+                }
+            }
+            let u_run = u.rebuild_run(governor, u_assigned - u_before);
+            let v_run = v.rebuild_run(governor, v_assigned - v_before);
+            // Which agent receives a message is as good as random, so the
+            // write is branch-free: every message is stored on both sides and
+            // only the receiving side's cursor advances (each run has a spare
+            // slot for the other side's store).
+            let (mut i, mut j) = (0, 0);
+            for &msg in run {
+                hint = class_of(classes, hint, msg.content);
+                let class = &mut classes[hint];
+                let floor = class.floor_left > 0;
+                class.floor_left -= usize::from(floor);
+                let to_u = floor == class.floor_to_u;
+                u_run[i] = msg;
+                v_run[j] = msg;
+                i += usize::from(to_u);
+                j += usize::from(!to_u);
+            }
+        }
+        u.end_rebuild();
+        v.end_rebuild();
+    }
+}
+
+/// Writes the merge of the ID-sorted runs `a` and `b` into `out` (of length
+/// `a.len() + b.len()`; on equal IDs `a`'s message first) and returns whether
+/// an ID occurs in both.
+fn merge_by_id(out: &mut [Message], a: &[Message], b: &[Message]) -> bool {
+    debug_assert_eq!(out.len(), a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    let mut shared = false;
+    while i < a.len() && j < b.len() {
+        // A plain branch: IDs come in runs (stores start as ID blocks), and
+        // on warmed stores this measured faster than a branch-free select.
+        if a[i].id <= b[j].id {
+            shared |= a[i].id == b[j].id;
+            out[i + j] = a[i];
+            i += 1;
+        } else {
+            out[i + j] = b[j];
+            j += 1;
+        }
+    }
+    out[i + j..a.len() + j].copy_from_slice(&a[i..]);
+    out[a.len() + j..].copy_from_slice(&b[j..]);
+    shared
+}
+
+/// The index of `content`'s class in the content-sorted `classes`, trying
+/// `hint` first and inserting an empty class when there is none.
+fn class_of(classes: &mut Vec<ContentClass>, hint: usize, content: u64) -> usize {
+    if classes.get(hint).is_some_and(|c| c.content == content) {
+        return hint;
+    }
+    match classes.binary_search_by_key(&content, |c| c.content) {
+        Ok(index) => index,
+        Err(index) => {
+            classes.insert(
+                index,
+                ContentClass {
+                    content,
+                    len: 0,
+                    floor_left: 0,
+                    floor_to_u: false,
+                },
+            );
+            index
+        }
     }
 }
 
@@ -464,6 +583,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn repeated_same_group_steps_reuse_every_buffer() {
+        // After one warm-up step, further steps on the same pair (signature
+        // refreshes included) keep both stores' buffers and the scratch.
+        let (params, partition) = setup(64, 16);
+        let mut u = initial_state(&params, &partition, 1);
+        let mut v = initial_state(&params, &partition, 2);
+        let buffers = |u: &DetectCollisionState, v: &DetectCollisionState| {
+            let scratch = SCRATCH.with(|s| {
+                let s = s.borrow();
+                (s.merged.as_ptr(), s.bounds.as_ptr(), s.classes.as_ptr())
+            });
+            let stores = (
+                active(u).msgs.messages_for(0).as_ptr(),
+                active(v).msgs.messages_for(0).as_ptr(),
+            );
+            (scratch, stores)
+        };
+        run_interaction(&params, &partition, 1, &mut u, 2, &mut v, 0);
+        let warm = buffers(&u, &v);
+        let period = params.signature_period(partition.group_size_of(1));
+        for seed in 1..=u64::from(2 * period) {
+            run_interaction(&params, &partition, 1, &mut u, 2, &mut v, seed);
+            assert!(!u.is_error() && !v.is_error());
+            assert_eq!(buffers(&u, &v), warm, "step {seed} reallocated");
+        }
+        assert_ne!(active(&u).signature, INITIAL_CONTENT, "a refresh ran");
     }
 
     #[test]

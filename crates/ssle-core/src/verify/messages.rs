@@ -9,6 +9,12 @@
 //! `observations` array recording the content it last wrote into each of its
 //! *own* messages.
 //!
+//! Layout: a store is one contiguous buffer of [`Message`]s sorted by
+//! `(governor, ID)` plus `m + 1` offsets, so the messages of governor `g` are
+//! the buffer range `offsets[g]..offsets[g + 1]`. The same-group kernel of
+//! `DetectCollision_r` therefore streams each store front to back, and a
+//! cloned store (as the state interner keeps them) carries no spare capacity.
+//!
 //! Sizing (for a group of size `m`): every rank governs `2m²` message IDs;
 //! the agent at in-group position `p` initially holds, for *every* governing
 //! rank of its group, the contiguous ID block `[2pm + 1, 2(p+1)m]`. Hence
@@ -17,6 +23,7 @@
 //! exactly once.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// The content value every message and observation starts with.
 pub const INITIAL_CONTENT: u64 = 1;
@@ -36,9 +43,11 @@ pub struct Message {
 /// governing rank of the agent's group.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MessageStore {
-    /// `per_governor[g]` holds the messages governed by the rank at in-group
-    /// position `g`, sorted by ID.
-    per_governor: Vec<Vec<Message>>,
+    /// Every held message, sorted by governor and, within a governor, by ID.
+    messages: Vec<Message>,
+    /// `offsets[g]..offsets[g + 1]` is the run of governor `g` in `messages`:
+    /// `offsets[0] == 0`, non-decreasing, last entry `messages.len()`.
+    offsets: Vec<usize>,
     /// Number of IDs each governing rank owns (`2m²`).
     ids_per_rank: u32,
 }
@@ -48,7 +57,8 @@ impl MessageStore {
     /// `ids_per_rank` message IDs per governing rank.
     pub fn empty(group_size: usize, ids_per_rank: u32) -> Self {
         MessageStore {
-            per_governor: vec![Vec::new(); group_size],
+            messages: Vec::new(),
+            offsets: vec![0; group_size + 1],
             ids_per_rank,
         }
     }
@@ -69,21 +79,24 @@ impl MessageStore {
         } else {
             start + block - 1
         };
-        let template: Vec<Message> = (start..=end)
-            .map(|id| Message {
+        let per_governor = (start..=end).count();
+        let mut messages = Vec::with_capacity(group_size * per_governor);
+        for _ in 0..group_size {
+            messages.extend((start..=end).map(|id| Message {
                 id,
                 content: INITIAL_CONTENT,
-            })
-            .collect();
+            }));
+        }
         MessageStore {
-            per_governor: vec![template; group_size],
+            messages,
+            offsets: (0..=group_size).map(|g| g * per_governor).collect(),
             ids_per_rank,
         }
     }
 
     /// The number of governing ranks (the group size).
     pub fn group_size(&self) -> usize {
-        self.per_governor.len()
+        self.offsets.len() - 1
     }
 
     /// Number of message IDs per governing rank.
@@ -93,37 +106,31 @@ impl MessageStore {
 
     /// Total number of messages currently held.
     pub fn total(&self) -> usize {
-        self.per_governor.iter().map(Vec::len).sum()
+        self.messages.len()
     }
 
     /// Number of messages governed by the rank at in-group position `g`.
+    #[inline]
     pub fn count_for(&self, governor: usize) -> usize {
-        self.per_governor[governor].len()
+        self.range(governor).len()
     }
 
     /// The messages governed by in-group position `governor`, sorted by ID.
+    #[inline]
     pub fn messages_for(&self, governor: usize) -> &[Message] {
-        &self.per_governor[governor]
+        &self.messages[self.range(governor)]
     }
 
     /// Mutable access to the messages governed by `governor`.
+    #[inline]
     pub fn messages_for_mut(&mut self, governor: usize) -> &mut [Message] {
-        &mut self.per_governor[governor]
-    }
-
-    /// Replaces the full list of messages governed by `governor`. The caller
-    /// must supply the list sorted by ID; this is checked in debug builds.
-    pub fn set_messages_for(&mut self, governor: usize, messages: Vec<Message>) {
-        debug_assert!(
-            messages.windows(2).all(|w| w[0].id < w[1].id),
-            "messages must be sorted by strictly increasing ID"
-        );
-        self.per_governor[governor] = messages;
+        let range = self.range(governor);
+        &mut self.messages[range]
     }
 
     /// The content of the message `(governor, id)` if held.
     pub fn content(&self, governor: usize, id: u32) -> Option<u64> {
-        let v = &self.per_governor[governor];
+        let v = self.messages_for(governor);
         v.binary_search_by_key(&id, |m| m.id)
             .ok()
             .map(|idx| v[idx].content)
@@ -131,28 +138,41 @@ impl MessageStore {
 
     /// Inserts or overwrites the message `(governor, id)` with `content`.
     pub fn insert(&mut self, governor: usize, id: u32, content: u64) {
-        let v = &mut self.per_governor[governor];
-        match v.binary_search_by_key(&id, |m| m.id) {
-            Ok(idx) => v[idx].content = content,
-            Err(idx) => v.insert(idx, Message { id, content }),
+        let start = self.offsets[governor];
+        match self
+            .messages_for(governor)
+            .binary_search_by_key(&id, |m| m.id)
+        {
+            Ok(idx) => self.messages[start + idx].content = content,
+            Err(idx) => {
+                self.messages.insert(start + idx, Message { id, content });
+                for offset in &mut self.offsets[governor + 1..] {
+                    *offset += 1;
+                }
+            }
         }
     }
 
     /// Removes the message `(governor, id)`, returning its content if it was
     /// held.
     pub fn remove(&mut self, governor: usize, id: u32) -> Option<u64> {
-        let v = &mut self.per_governor[governor];
-        v.binary_search_by_key(&id, |m| m.id)
-            .ok()
-            .map(|idx| v.remove(idx).content)
+        let start = self.offsets[governor];
+        let idx = self
+            .messages_for(governor)
+            .binary_search_by_key(&id, |m| m.id)
+            .ok()?;
+        for offset in &mut self.offsets[governor + 1..] {
+            *offset -= 1;
+        }
+        Some(self.messages.remove(start + idx).content)
     }
 
     /// Whether this store and `other` both hold a message with the same
     /// `(governor, ID)` pair — the "two copies of the same circulating
     /// message" collision proof of Protocol 3, line 3.
     pub fn shares_message_with(&self, other: &MessageStore) -> bool {
-        for governor in 0..self.per_governor.len().min(other.per_governor.len()) {
-            let (a, b) = (&self.per_governor[governor], &other.per_governor[governor]);
+        for governor in 0..self.group_size().min(other.group_size()) {
+            let (a, b) = (self.messages_for(governor), other.messages_for(governor));
             let (mut i, mut j) = (0, 0);
             while i < a.len() && j < b.len() {
                 match a[i].id.cmp(&b[j].id) {
@@ -168,7 +188,48 @@ impl MessageStore {
     /// Per-governor message counts, used by tests and by the load-balancing
     /// experiments.
     pub fn counts(&self) -> Vec<usize> {
-        self.per_governor.iter().map(Vec::len).collect()
+        self.offsets.windows(2).map(|w| w[1] - w[0]).collect()
+    }
+
+    #[inline]
+    fn range(&self, governor: usize) -> Range<usize> {
+        self.offsets[governor]..self.offsets[governor + 1]
+    }
+
+    /// Starts rewriting the store from scratch with at most `len` messages:
+    /// empties it, reusing the buffer when it is large enough and else
+    /// allocating exactly what the rebuild needs, so a store never holds more
+    /// spare capacity than its own largest size left behind. Then write every
+    /// governor's run in turn through [`Self::rebuild_run`] and finish with
+    /// [`Self::end_rebuild`].
+    pub(crate) fn begin_rebuild(&mut self, len: usize) {
+        self.messages.clear();
+        if self.messages.capacity() < len + 1 {
+            self.messages = Vec::with_capacity(len + 1);
+        }
+    }
+
+    /// Makes `governor` (governors go in increasing order) a run of `len`
+    /// messages and returns its slots plus one spare slot after them, free
+    /// for scratch writes. The caller fills the run by increasing ID.
+    #[inline]
+    pub(crate) fn rebuild_run(&mut self, governor: usize, len: usize) -> &mut [Message] {
+        let start = self.offsets[governor];
+        self.messages.truncate(start);
+        self.messages
+            .resize(start + len + 1, Message { id: 0, content: 0 });
+        self.offsets[governor + 1] = start + len;
+        &mut self.messages[start..]
+    }
+
+    /// Drops the spare slot of the last run.
+    pub(crate) fn end_rebuild(&mut self) {
+        self.messages.truncate(self.offsets[self.group_size()]);
+        debug_assert!(
+            (0..self.group_size())
+                .all(|g| self.messages_for(g).windows(2).all(|w| w[0].id < w[1].id)),
+            "runs must be written by strictly increasing ID"
+        );
     }
 }
 
@@ -207,8 +268,8 @@ impl Observations {
         self.values[(id - 1) as usize] = content;
     }
 
-    /// Sets every observation to `content` (used when the owning agent
-    /// refreshes its signature and rewrites all of its held own messages).
+    /// The whole array as a mutable slice: entry `id - 1` is the observation
+    /// recorded for message `id`.
     pub fn raw_values_mut(&mut self) -> &mut [u64] {
         &mut self.values
     }
@@ -274,9 +335,29 @@ mod tests {
         assert_eq!(s.remove(0, 3), Some(43));
         assert_eq!(s.remove(0, 3), None);
         assert_eq!(s.total(), 2);
-        // Messages stay sorted by id.
+        // Messages stay sorted by id, and the other governor is untouched.
         let ids: Vec<u32> = s.messages_for(0).iter().map(|m| m.id).collect();
         assert_eq!(ids, vec![1]);
+        assert_eq!(s.counts(), vec![1, 1]);
+        assert_eq!(s.content(1, 3), Some(7));
+    }
+
+    #[test]
+    fn equal_messages_make_equal_stores_however_built() {
+        // Equality and hashing (and so state interning) see the messages
+        // held, not the order they arrived in.
+        let initial = MessageStore::initial(3, 18, 1);
+        let mut built = MessageStore::empty(3, 18);
+        for governor in (0..3).rev() {
+            for msg in initial.messages_for(governor).iter().rev() {
+                built.insert(governor, msg.id, msg.content);
+            }
+        }
+        assert_eq!(built, initial);
+        built.insert(1, 2, 5);
+        assert_ne!(built, initial);
+        assert_eq!(built.remove(1, 2), Some(5));
+        assert_eq!(built, initial);
     }
 
     #[test]

@@ -1,0 +1,307 @@
+//! The `DetectCollision_r` kernel against a plain transcription of the
+//! paper's Protocols 3 and 12–14: on random same-group pairs of warmed
+//! groups — plain steps, forced signature refreshes, contents of many classes,
+//! planted duplicates, inconsistent contents, equal ranks, `⊤` partners and
+//! cross-group pairs — the kernel must leave both states exactly as the
+//! transcription does and draw exactly as much randomness.
+
+use ppsim::{InteractionCtx, SimRng};
+use proptest::prelude::*;
+use rand::RngCore;
+use ssle_core::groups::GroupPartition;
+use ssle_core::params::Params;
+use ssle_core::verify::{
+    balance_load, detect_collision, initial_state, CollisionState, DetectCollisionState, Message,
+    MessageStore,
+};
+use std::sync::OnceLock;
+
+/// `(n, r)` of the warmed groups; their first groups have sizes 4, 7, 16
+/// and 64.
+const SETUPS: [(usize, usize); 4] = [(16, 4), (40, 7), (64, 16), (256, 64)];
+
+/// Protocol 3, written out step by step.
+fn reference_detect_collision(
+    params: &Params,
+    partition: &GroupPartition,
+    u_rank: u32,
+    u_dc: &mut DetectCollisionState,
+    v_rank: u32,
+    v_dc: &mut DetectCollisionState,
+    ctx: &mut InteractionCtx<'_>,
+) {
+    if !partition.same_group(u_rank, v_rank) {
+        return;
+    }
+    let (DetectCollisionState::Active(u), DetectCollisionState::Active(v)) =
+        (&mut *u_dc, &mut *v_dc)
+    else {
+        return;
+    };
+    let error = u_rank == v_rank
+        || shares_a_message(u, v)
+        || inconsistent(partition, u_rank, u, v)
+        || inconsistent(partition, v_rank, v, u);
+    if error {
+        *u_dc = DetectCollisionState::Error;
+        *v_dc = DetectCollisionState::Error;
+        return;
+    }
+    update(params, partition, u_rank, u, v, ctx);
+    update(params, partition, v_rank, v, u, ctx);
+    balance(u, v);
+}
+
+/// Protocol 3, line 3: both agents hold a copy of one `(governor, ID)`.
+fn shares_a_message(u: &CollisionState, v: &CollisionState) -> bool {
+    (0..u.msgs.group_size()).any(|g| {
+        u.msgs
+            .messages_for(g)
+            .iter()
+            .any(|msg| v.msgs.content(g, msg.id).is_some())
+    })
+}
+
+/// Protocol 12: `other` holds a message of `owner`'s that `owner` never wrote.
+fn inconsistent(
+    partition: &GroupPartition,
+    owner_rank: u32,
+    owner: &CollisionState,
+    other: &CollisionState,
+) -> bool {
+    let g = partition.position_in_group(owner_rank);
+    other
+        .msgs
+        .messages_for(g)
+        .iter()
+        .any(|msg| msg.content != owner.observations.get(msg.id))
+}
+
+/// Protocol 13: tick the counter (drawing a fresh signature when it expires)
+/// and stamp the signature on the owner's messages held by either agent.
+fn update(
+    params: &Params,
+    partition: &GroupPartition,
+    owner_rank: u32,
+    owner: &mut CollisionState,
+    other: &mut CollisionState,
+    ctx: &mut InteractionCtx<'_>,
+) {
+    let m = partition.group_size_of(owner_rank);
+    let g = partition.position_in_group(owner_rank);
+    owner.counter = owner.counter.saturating_add(1);
+    if owner.counter >= params.signature_period(m) {
+        owner.signature = 1 + ctx.sample_below(params.signature_space(m));
+        owner.counter = 1;
+        let held: Vec<u32> = owner
+            .msgs
+            .messages_for(g)
+            .iter()
+            .map(|msg| msg.id)
+            .collect();
+        for id in held {
+            owner.msgs.insert(g, id, owner.signature);
+            owner.observations.set(id, owner.signature);
+        }
+    }
+    let held: Vec<u32> = other
+        .msgs
+        .messages_for(g)
+        .iter()
+        .map(|msg| msg.id)
+        .collect();
+    for id in held {
+        other.msgs.insert(g, id, owner.signature);
+        owner.observations.set(id, owner.signature);
+    }
+}
+
+/// Protocol 14: per governor, sort both agents' messages by (content, ID),
+/// split every content class in halves, hand the smaller half to the agent
+/// holding more so far, and re-sort each agent's share by ID.
+fn balance(u: &mut CollisionState, v: &mut CollisionState) {
+    let (m, ids) = (u.msgs.group_size(), u.msgs.ids_per_rank());
+    let mut shares: [(Vec<Vec<Message>>, usize); 2] =
+        [(vec![Vec::new(); m], 0), (vec![Vec::new(); m], 0)];
+    for g in 0..m {
+        let mut pool: Vec<Message> = u.msgs.messages_for(g).to_vec();
+        pool.extend_from_slice(v.msgs.messages_for(g));
+        pool.sort_by_key(|msg| (msg.content, msg.id));
+        for class in pool.chunk_by(|a, b| a.content == b.content) {
+            let (floor, ceil) = class.split_at(class.len() / 2);
+            let smaller = if shares[0].1 > shares[1].1 { 0 } else { 1 };
+            for (agent, half) in [(smaller, floor), (1 - smaller, ceil)] {
+                shares[agent].0[g].extend_from_slice(half);
+                shares[agent].1 += half.len();
+            }
+        }
+    }
+    for (state, (share, _)) in [u, v].into_iter().zip(shares) {
+        let mut store = MessageStore::empty(m, ids);
+        for (g, mut messages) in share.into_iter().enumerate() {
+            messages.sort_by_key(|msg| msg.id);
+            for msg in messages {
+                store.insert(g, msg.id, msg.content);
+            }
+        }
+        state.msgs = store;
+    }
+}
+
+/// The first group of `ElectLeader_r(n, r)` after enough kernel steps for
+/// every agent to refresh its signature a few times.
+struct Warmed {
+    params: Params,
+    partition: GroupPartition,
+    ranks: Vec<u32>,
+    states: Vec<DetectCollisionState>,
+}
+
+fn distinct_pair(rng: &mut SimRng, m: usize) -> (usize, usize) {
+    let i = (rng.next_u64() % m as u64) as usize;
+    let j = (rng.next_u64() % (m as u64 - 1)) as usize;
+    (i, if j >= i { j + 1 } else { j })
+}
+
+fn warm(n: usize, r: usize) -> Warmed {
+    let params = Params::new(n, r).unwrap();
+    let partition = GroupPartition::new(&params);
+    let ranks: Vec<u32> = partition.ranks_in(0).collect();
+    let m = ranks.len();
+    let mut states: Vec<DetectCollisionState> = ranks
+        .iter()
+        .map(|&rank| initial_state(&params, &partition, rank))
+        .collect();
+    let mut rng = SimRng::seed_from_u64(n as u64);
+    for step in 0..m * params.signature_period(m) as usize {
+        let (i, j) = distinct_pair(&mut rng, m);
+        let (mut a, mut b) = (states[i].clone(), states[j].clone());
+        let mut ctx = InteractionCtx::new(&mut rng, step as u64);
+        detect_collision(
+            &params, &partition, ranks[i], &mut a, ranks[j], &mut b, &mut ctx,
+        );
+        assert!(!a.is_error() && !b.is_error(), "warm-up raised ⊤");
+        (states[i], states[j]) = (a, b);
+    }
+    Warmed {
+        params,
+        partition,
+        ranks,
+        states,
+    }
+}
+
+fn warmed() -> &'static [Warmed] {
+    static WARMED: OnceLock<Vec<Warmed>> = OnceLock::new();
+    WARMED.get_or_init(|| SETUPS.iter().map(|&(n, r)| warm(n, r)).collect())
+}
+
+fn active(dc: &mut DetectCollisionState) -> &mut CollisionState {
+    dc.active_mut().expect("warmed states are active")
+}
+
+/// Rewrites to a fresh random content about half of the messages `state`
+/// holds of every governor except `skip`, as an adversary might.
+fn scramble(state: &mut CollisionState, skip: [usize; 2], rng: &mut SimRng) {
+    for g in (0..state.msgs.group_size()).filter(|g| !skip.contains(g)) {
+        for msg in state.msgs.messages_for_mut(g) {
+            if rng.next_u32() % 2 == 0 {
+                msg.content = 1 + rng.next_u64() % 1_000;
+            }
+        }
+    }
+}
+
+#[test]
+fn warmed_groups_have_the_sizes_and_content_classes_under_test() {
+    for (w, m) in warmed().iter().zip([4, 7, 16, 64]) {
+        assert_eq!(w.ranks.len(), m);
+        let most = w
+            .states
+            .iter()
+            .map(|s| {
+                let msgs = &s.active().unwrap().msgs;
+                let mut contents: Vec<u64> = (0..m)
+                    .flat_map(|g| msgs.messages_for(g).iter().map(|msg| msg.content))
+                    .collect();
+                contents.sort_unstable();
+                contents.dedup();
+                contents.len()
+            })
+            .max()
+            .unwrap();
+        assert!(most > 2, "m = {m}: at most {most} contents per store");
+    }
+}
+
+proptest! {
+    #[test]
+    fn kernel_matches_the_protocol_transcription(
+        setup in 0usize..SETUPS.len(),
+        pair in any::<u64>(),
+        case in 0u32..8,
+        seed in any::<u64>(),
+    ) {
+        let w = &warmed()[setup];
+        let m = w.ranks.len();
+        let mut pick = SimRng::seed_from_u64(pair);
+        let (i, j) = distinct_pair(&mut pick, m);
+        let (mut u_rank, mut v_rank) = (w.ranks[i], w.ranks[j]);
+        let (mut u, mut v) = (w.states[i].clone(), w.states[j].clone());
+        let (gu, gv) = (i, j);
+        let period = w.params.signature_period(m);
+        match case {
+            // 0: a plain step.
+            1 => {
+                // Both signatures expire now: two fresh draws.
+                active(&mut u).counter = period - 1;
+                active(&mut v).counter = period - 1;
+            }
+            2 => {
+                // Many content classes in the governors being balanced.
+                scramble(active(&mut u), [gu, gv], &mut pick);
+                scramble(active(&mut v), [gu, gv], &mut pick);
+            }
+            3 => {
+                // A planted copy of one of u's messages in v's store.
+                let g = (pick.next_u64() % m as u64) as usize;
+                let held = active(&mut u).msgs.messages_for(g).to_vec();
+                let msg = held[(pick.next_u64() % held.len() as u64) as usize];
+                active(&mut v).msgs.insert(g, msg.id, msg.content);
+            }
+            4 => {
+                // v holds one of u's messages with a content u never wrote.
+                let msgs = active(&mut v).msgs.messages_for_mut(gu);
+                let k = (pick.next_u64() % msgs.len() as u64) as usize;
+                msgs[k].content += 1;
+            }
+            5 => v_rank = u_rank,
+            6 => v = DetectCollisionState::Error,
+            _ => u_rank = w.partition.ranks_in(1).next().unwrap(),
+        }
+        let (mut ref_u, mut ref_v) = (u.clone(), v.clone());
+        if case != 3 {
+            if let (Some(a), Some(b)) = (u.active(), v.active()) {
+                // The public balancer alone agrees with Protocol 14 too.
+                let (mut a, mut b, mut ra, mut rb) = (a.clone(), b.clone(), a.clone(), b.clone());
+                balance_load(&mut a, &mut b, m);
+                balance(&mut ra, &mut rb);
+                prop_assert!(a == ra && b == rb, "balance_load differs: m {m}, case {case}");
+            }
+        }
+        let mut kernel_rng = SimRng::seed_from_u64(seed);
+        let mut reference_rng = SimRng::seed_from_u64(seed);
+        detect_collision(
+            &w.params, &w.partition, u_rank, &mut u, v_rank, &mut v,
+            &mut InteractionCtx::new(&mut kernel_rng, 0),
+        );
+        reference_detect_collision(
+            &w.params, &w.partition, u_rank, &mut ref_u, v_rank, &mut ref_v,
+            &mut InteractionCtx::new(&mut reference_rng, 0),
+        );
+        prop_assert!(u == ref_u && v == ref_v, "states differ: m {m}, pair ({i}, {j}), case {case}");
+        prop_assert_eq!(kernel_rng.next_u64(), reference_rng.next_u64());
+        let expect_error = matches!(case, 3..=6);
+        prop_assert_eq!(u.is_error() || v.is_error(), expect_error, "case {}", case);
+    }
+}

@@ -18,18 +18,25 @@ use ppsim::{DiscoveredProtocol, EngineKind, EnumerableProtocol, SimBuilder};
 use ssle_core::{output, ElectLeader};
 use std::time::Instant;
 
+const USAGE: &str =
+    "usage: discovered_electleader [n] [r] [trials] [per-step|batched|multibatch|auto]";
+
+/// The `index`-th argument as parsed by `parse`, `None` when absent; a token
+/// `parse` rejects prints the usage and exits with status 2.
+fn arg<T>(args: &[String], index: usize, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+    let token = args.get(index)?;
+    Some(parse(token).unwrap_or_else(|| {
+        eprintln!("bad argument `{token}`\n{USAGE}");
+        std::process::exit(2)
+    }))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = args.first().and_then(|a| a.parse().ok()).unwrap_or(48);
-    let r: usize = args
-        .get(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or_else(|| (n / 4).max(1));
-    let trials: u64 = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(3);
-    let kind = args
-        .get(3)
-        .and_then(|a| EngineKind::parse(a))
-        .unwrap_or(EngineKind::Batched);
+    let n: usize = arg(&args, 0, |a| a.parse().ok()).unwrap_or(48);
+    let r: usize = arg(&args, 1, |a| a.parse().ok()).unwrap_or_else(|| (n / 4).max(1));
+    let trials: u64 = arg(&args, 2, |a| a.parse().ok()).unwrap_or(3);
+    let kind = arg(&args, 3, EngineKind::parse).unwrap_or(EngineKind::Batched);
 
     println!(
         "ElectLeader_{r} on n = {n} agents, {} engine via dynamic indexing",

@@ -10,10 +10,10 @@ use analysis::experiments::tradeoff::{e1_tradeoff_time, e2_state_space};
 use analysis::Scale;
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|a| Scale::parse(&a))
-        .unwrap_or(Scale::Quick);
+    let scale = Scale::from_arg(std::env::args().nth(1).as_deref()).unwrap_or_else(|why| {
+        eprintln!("{why}\nusage: tradeoff_sweep [tiny|quick|full]");
+        std::process::exit(2);
+    });
     println!("Running the Theorem 1.1 trade-off sweep at {scale:?} scale…\n");
     let time = e1_tradeoff_time(scale);
     println!("{}", time.to_markdown());

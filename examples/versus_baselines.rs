@@ -10,10 +10,10 @@ use analysis::experiments::comparison::e6_versus_baselines;
 use analysis::Scale;
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|a| Scale::parse(&a))
-        .unwrap_or(Scale::Quick);
+    let scale = Scale::from_arg(std::env::args().nth(1).as_deref()).unwrap_or_else(|why| {
+        eprintln!("{why}\nusage: versus_baselines [tiny|quick|full]");
+        std::process::exit(2);
+    });
     println!("Running the baseline comparison at {scale:?} scale…\n");
     let table = e6_versus_baselines(scale);
     println!("{}", table.to_markdown());
