@@ -32,6 +32,10 @@ use std::fmt;
 /// rejected with [`crate::SimError::UnsupportedPopulation`].
 pub const MAX_POPULATION: u64 = 1 << 62;
 
+/// How many counts [`CountConfiguration::occupied`] tests for emptiness at
+/// once.
+const OCCUPIED_CHUNK: usize = 16;
+
 /// A configuration stored as per-state agent counts.
 #[derive(Clone, PartialEq, Eq, Serialize)]
 pub struct CountConfiguration {
@@ -220,14 +224,25 @@ impl CountConfiguration {
         &self.counts
     }
 
-    /// Iterates over the occupied states as `(state index, count)` pairs,
-    /// skipping empty states.
+    /// Iterates over the occupied states as `(state index, count)` pairs in
+    /// ascending state index, skipping empty states.
+    ///
+    /// A discovered run leaves most slots empty (tens of thousands of
+    /// interned states, at most `n` occupied), so the scan ORs fixed chunks
+    /// of 16 counts and filters per element only inside chunks that hold an
+    /// agent.
     pub fn occupied(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
-            .iter()
+            .chunks(OCCUPIED_CHUNK)
             .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
+            .filter(|(_, chunk)| chunk.iter().fold(0, |any, &c| any | c) != 0)
+            .flat_map(|(k, chunk)| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c > 0)
+                    .map(move |(i, &c)| (k * OCCUPIED_CHUNK + i, c))
+            })
     }
 
     /// Counts the agents whose *decoded* state satisfies the predicate.
@@ -484,6 +499,45 @@ mod tests {
         assert!(counts.all(&p, |s| *s != 1), "empty states are skipped");
         assert!(counts.any(&p, |s| *s == 0));
         assert!(!counts.any(&p, |s| *s == 1));
+    }
+
+    /// The chunked scan must yield exactly the naive filter's pairs, in
+    /// ascending order, whatever the length's remainder mod the chunk size.
+    #[test]
+    fn occupied_matches_the_naive_filter() {
+        let mut rng = SimRng::seed_from_u64(17);
+        for len in [1usize, 15, 16, 17, 33, 1000] {
+            let sparse: Vec<u64> = (0..len)
+                .map(|i| {
+                    if i % 37 == 5 || i + 1 == len {
+                        i as u64 + 1
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            let dense: Vec<u64> = (0..len).map(|_| 1 + rng.next_u64() % 5).collect();
+            let mut all_but_one = vec![0u64; len];
+            all_but_one[(rng.next_u64() as usize) % len] = 3;
+            let random: Vec<u64> = (0..len)
+                .map(|_| if rng.next_u64() % 8 == 0 { 2 } else { 0 })
+                .collect();
+            for counts in [sparse, dense, all_but_one, random] {
+                if counts.iter().all(|&c| c == 0) {
+                    continue;
+                }
+                let config = CountConfiguration::from_counts(counts.clone());
+                let naive: Vec<(usize, u64)> = counts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c > 0)
+                    .map(|(i, &c)| (i, c))
+                    .collect();
+                let chunked: Vec<(usize, u64)> = config.occupied().collect();
+                assert_eq!(chunked, naive, "length {len}");
+                assert!(chunked.windows(2).all(|w| w[0].0 < w[1].0));
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //!   sample digest, kept bit-compatible so the CI diff contract survives the
 //!   promotion of the digest into `ppsim`.
 //!
+//! `Fnv64` also implements [`std::hash::Hasher`] (integers take the word
+//! fold, byte slices the byte fold), which the dynamic state indexer uses to
+//! hash wide protocol states in memory. Those hashes follow
+//! `#[derive(Hash)]`'s unspecified input format and are never persisted.
+//!
 //! Neither is a cryptographic hash: keys identify *specs the workspace
 //! itself produced*, not adversarial input.
 //!
@@ -85,6 +90,47 @@ impl Fnv64 {
 impl Default for Fnv64 {
     fn default() -> Self {
         Fnv64::new()
+    }
+}
+
+/// `Fnv64` as a [`std::hash::Hasher`], for in-memory tables only: integer
+/// writes take the word fold ([`Fnv64::write_u64`], one multiply per
+/// integer), byte writes the canonical byte fold ([`Fnv64::write_bytes`]).
+/// What `#[derive(Hash)]` feeds a hasher is not a stable format, so digests
+/// computed through this trait must never be persisted or compared across
+/// builds.
+impl std::hash::Hasher for Fnv64 {
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_bytes(bytes);
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        Fnv64::write_u64(self, u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        Fnv64::write_u64(self, u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        Fnv64::write_u64(self, u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        Fnv64::write_u64(self, i);
+    }
+
+    fn write_u128(&mut self, i: u128) {
+        Fnv64::write_u64(self, i as u64);
+        Fnv64::write_u64(self, (i >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        Fnv64::write_u64(self, i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
     }
 }
 
@@ -179,6 +225,34 @@ mod tests {
             word.finish(),
             fnv1a_64(&0x0102_0304_0506_0708u64.to_le_bytes())
         );
+    }
+
+    /// Through `std::hash::Hasher`, bytes take the published byte fold and
+    /// integers the word fold — the trait adds no third granularity.
+    #[test]
+    fn hasher_trait_reuses_the_byte_and_word_folds() {
+        use std::hash::Hasher;
+
+        let mut bytes = Fnv64::new();
+        Hasher::write(&mut bytes, b"foobar");
+        assert_eq!(Hasher::finish(&bytes), fnv1a_64(b"foobar"));
+        assert_eq!(Hasher::finish(&bytes), 0x8594_4171_f739_67e8);
+
+        let word = 0x0102_0304_0506_0708u64;
+        let mut inherent = Fnv64::new();
+        inherent.write_u64(word);
+        inherent.write_u64(7);
+        let mut via_trait = Fnv64::new();
+        Hasher::write_u64(&mut via_trait, word);
+        Hasher::write_u32(&mut via_trait, 7);
+        assert_eq!(Hasher::finish(&via_trait), inherent.finish());
+
+        let mut wide = Fnv64::new();
+        Hasher::write_u128(&mut wide, u128::from(word) << 64 | 7);
+        let mut halves = Fnv64::new();
+        halves.write_u64(7);
+        halves.write_u64(word);
+        assert_eq!(wide, halves, "u128 folds low word then high word");
     }
 
     #[test]

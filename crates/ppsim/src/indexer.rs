@@ -31,15 +31,31 @@
 //! For transitions that consume no randomness the support is a single
 //! outcome, and [`deterministic_support`] computes it generically by probing
 //! [`Protocol::interact`] with a draw-counting RNG.
+//!
+//! # Memory
+//!
+//! Each discovered state is stored **once**, in discovery order; the lookup
+//! table holds only its 64-bit hash and index. States are hashed a word at a
+//! time ([`crate::digest::Fnv64`]'s word fold plus a SplitMix64 finalizer),
+//! which matters because an `ElectLeader_r` verifier carries `2m²` messages
+//! and `2m²` observations. Outcome states the engine hands over are moved in,
+//! not cloned.
+//!
+//! Interned states are **never evicted**: indices must stay stable for the
+//! count vector and the support memo, so memory grows with the run length,
+//! not with the occupancy. One `ElectLeader_r` trial at `n = 96, r = 24`
+//! interns about 82k states while at most 96 are occupied at any moment.
 
+use crate::digest::Fnv64;
 use crate::enumerable::EnumerableProtocol;
 use crate::protocol::{InteractionCtx, Protocol};
+use crate::rng::splitmix64_finalize;
 use crate::telemetry::{Counter, Telemetry};
 use rand::RngCore;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::rc::Rc;
 
 /// An enumerated outcome distribution on state pairs: every entry maps an
@@ -114,10 +130,7 @@ impl RngCore for CountingRng {
     fn next_u64(&mut self) -> u64 {
         self.draws += 1;
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64_finalize(self.state)
     }
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {
@@ -158,28 +171,133 @@ pub fn deterministic_support<P: Protocol + ?Sized>(
     }
 }
 
+/// The in-memory hashing of the indexer: [`Fnv64`]'s word fold (one multiply
+/// per integer field, or per eight bytes of an integer slice) with one
+/// SplitMix64 finalizer before bucketing, so the table's bucket and tag bits
+/// depend on every input bit. The hashes are never persisted, and the keys
+/// are states the protocol itself produced, so the collision resistance of
+/// std's keyed `RandomState` buys nothing here.
+struct WordHash;
+
+impl BuildHasher for WordHash {
+    type Hasher = FinalizedFnv;
+
+    fn build_hasher(&self) -> FinalizedFnv {
+        FinalizedFnv(Fnv64::new())
+    }
+}
+
+/// [`Fnv64`] whose `finish` applies the SplitMix64 finalizer.
+struct FinalizedFnv(Fnv64);
+
+impl Hasher for FinalizedFnv {
+    /// Integer slices (`Vec<u64>` fields such as `ElectLeader_r`'s
+    /// observations) reach a hasher as their raw bytes, so fold them a word
+    /// at a time like every other integer write, not [`Fnv64`]'s byte fold
+    /// (eight multiplies per word); a short tail is one zero-padded word.
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.0
+                .write_u64(u64::from_le_bytes(word.try_into().unwrap_or_default()));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let last = tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+            self.0.write_u64(last);
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        Hasher::write_u8(&mut self.0, i);
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        Hasher::write_u16(&mut self.0, i);
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        Hasher::write_u32(&mut self.0, i);
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        Hasher::write_u64(&mut self.0, i);
+    }
+
+    fn write_u128(&mut self, i: u128) {
+        Hasher::write_u128(&mut self.0, i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        Hasher::write_usize(&mut self.0, i);
+    }
+
+    fn finish(&self) -> u64 {
+        splitmix64_finalize(Hasher::finish(&self.0))
+    }
+}
+
+/// Ends a chain of [`Interner::next`].
+const CHAIN_END: usize = usize::MAX;
+
 /// The growing state ↔ index bijection.
+///
+/// `states` is the only owner of each state. The lookup table maps a state's
+/// 64-bit hash to the newest index with that hash, and `next` chains older
+/// indices with the same hash, so a lookup compares the probe against
+/// `states[i]` along one (almost always single-entry) chain.
 struct Interner<S> {
     states: Vec<S>,
-    index_of: HashMap<S, usize>,
+    heads: HashMap<u64, usize, WordHash>,
+    /// Per index, the next-older index with the same hash, or [`CHAIN_END`].
+    next: Vec<usize>,
 }
 
 impl<S: Hash + Eq + Clone> Interner<S> {
     fn new() -> Self {
         Interner {
             states: Vec::new(),
-            index_of: HashMap::new(),
+            heads: HashMap::with_hasher(WordHash),
+            next: Vec::new(),
         }
     }
 
-    fn intern(&mut self, state: &S) -> usize {
-        if let Some(&index) = self.index_of.get(state) {
-            return index;
+    /// The state's hash and, if it was interned before, its index.
+    fn find(&self, state: &S) -> (u64, Option<usize>) {
+        let hash = WordHash.hash_one(state);
+        let mut cursor = self.heads.get(&hash).copied().unwrap_or(CHAIN_END);
+        while cursor != CHAIN_END {
+            if self.states[cursor] == *state {
+                return (hash, Some(cursor));
+            }
+            cursor = self.next[cursor];
         }
+        (hash, None)
+    }
+
+    /// Stores a state that `find` did not locate under the next free index.
+    fn mint(&mut self, hash: u64, state: S) -> usize {
         let index = self.states.len();
-        self.states.push(state.clone());
-        self.index_of.insert(state.clone(), index);
+        let older = self.heads.insert(hash, index).unwrap_or(CHAIN_END);
+        self.next.push(older);
+        self.states.push(state);
         index
+    }
+
+    /// Interns an owned state, moving it into the table if it is new.
+    fn intern(&mut self, state: S) -> usize {
+        match self.find(&state) {
+            (_, Some(index)) => index,
+            (hash, None) => self.mint(hash, state),
+        }
+    }
+
+    /// Interns a borrowed state, cloning it only if it is new.
+    fn intern_ref(&mut self, state: &S) -> usize {
+        match self.find(state) {
+            (_, Some(index)) => index,
+            (hash, None) => self.mint(hash, state.clone()),
+        }
     }
 }
 
@@ -229,7 +347,7 @@ where
     /// states only and indices never change; shared across clones so a
     /// predicate handle warms the same cache as the engine.
     #[allow(clippy::type_complexity)]
-    support_cache: Rc<RefCell<HashMap<(usize, usize), Vec<((usize, usize), f64)>>>>,
+    support_cache: Rc<RefCell<HashMap<(usize, usize), Vec<((usize, usize), f64)>, WordHash>>>,
     /// Observability handle in a shared slot, so attaching telemetry through
     /// any clone (the engine's copy or a predicate handle) makes intern and
     /// memo counters land in one report. Disabled by default: every probe is
@@ -271,7 +389,7 @@ where
         DiscoveredProtocol {
             inner: Rc::new(inner),
             interner: Rc::new(RefCell::new(Interner::new())),
-            support_cache: Rc::new(RefCell::new(HashMap::new())),
+            support_cache: Rc::new(RefCell::new(HashMap::with_hasher(WordHash))),
             telemetry: Rc::new(RefCell::new(Telemetry::disabled())),
         }
     }
@@ -367,7 +485,7 @@ where
         let (index, minted) = {
             let mut interner = self.interner.borrow_mut();
             let before = interner.states.len();
-            let index = interner.intern(state);
+            let index = interner.intern_ref(state);
             (index, (interner.states.len() - before) as u64)
         };
         self.note_interned(minted);
@@ -391,7 +509,8 @@ where
         ctx: &mut InteractionCtx<'_>,
     ) -> (usize, usize) {
         // Clone the endpoint states out before interacting so the interner is
-        // free to be re-borrowed for encoding the (possibly new) outcomes.
+        // free to be re-borrowed for encoding the (possibly new) outcomes;
+        // those clones then move into the interner if they are new.
         let (mut u, mut v) = {
             let interner = self.interner.borrow();
             (
@@ -403,7 +522,7 @@ where
         let (pair, minted) = {
             let mut interner = self.interner.borrow_mut();
             let before = interner.states.len();
-            let pair = (interner.intern(&u), interner.intern(&v));
+            let pair = (interner.intern(u), interner.intern(v));
             (pair, (interner.states.len() - before) as u64)
         };
         self.note_interned(minted);
@@ -423,8 +542,8 @@ where
         self.telemetry.borrow().count(Counter::IndexerMemoMisses, 1);
         // Hold the immutable borrow only across the (reference-taking)
         // support call — the wrapped protocol cannot touch the interner —
-        // then re-borrow mutably to intern the owned outcome states. This
-        // avoids deep-cloning the endpoint states on every fired transition.
+        // then re-borrow mutably to move the owned outcome states into the
+        // interner. No state is cloned here beyond what `pair_support` does.
         let support = {
             let interner = self.interner.borrow();
             self.inner
@@ -437,7 +556,7 @@ where
                     let before = interner.states.len();
                     let indexed: Vec<((usize, usize), f64)> = support
                         .into_iter()
-                        .map(|((a, b), p)| ((interner.intern(&a), interner.intern(&b)), p))
+                        .map(|((a, b), p)| ((interner.intern(a), interner.intern(b)), p))
                         .collect();
                     (indexed, (interner.states.len() - before) as u64)
                 };
@@ -692,6 +811,132 @@ mod tests {
         // All-true is fully silent: every pair maps to itself.
         let active = sim.run(10_000);
         assert_eq!(active, 0);
+    }
+
+    /// A deterministic counter protocol over a state wrapping a `u32` (read
+    /// and built by the two functions): the responder takes `u + v + 1`, so
+    /// every fired pair of small values mints a state.
+    struct Bump<S>(fn(&S) -> u32, fn(u32) -> S);
+
+    impl<S: Clone + fmt::Debug> Protocol for Bump<S> {
+        type State = S;
+        fn population_size(&self) -> usize {
+            4
+        }
+        fn interact(&self, u: &mut S, v: &mut S, _ctx: &mut InteractionCtx<'_>) {
+            *v = (self.1)((self.0)(u) + (self.0)(v) + 1);
+        }
+    }
+
+    impl<S: Clone + fmt::Debug> SupportEnumerable for Bump<S> {}
+
+    /// A state whose `Hash` is constant, so every state lands on one chain.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Collider(u32);
+
+    impl Hash for Collider {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u8(0);
+        }
+    }
+
+    #[test]
+    fn equal_hashes_chain_without_disturbing_discovery_order() {
+        let p = DiscoveredProtocol::new(Bump(|s: &Collider| s.0, Collider));
+        for k in 0..5 {
+            assert_eq!(p.encode(&Collider(10 * k)), k as usize);
+        }
+        for k in (0..5).rev() {
+            assert_eq!(p.encode(&Collider(10 * k)), k as usize, "idempotent");
+        }
+        let mut rng = SimRng::seed_from_u64(0);
+        let mut ctx = InteractionCtx::new(&mut rng, 0);
+        // 10 + 20 + 1 = 31 is new: it takes the next index on the same chain.
+        assert_eq!(p.transition_indices(1, 2, &mut ctx), (1, 5));
+        assert_eq!(p.transition_support(0, 3), vec![((0, 5), 1.0)], "31 known");
+        assert_eq!(p.transition_support(0, 4), vec![((0, 6), 1.0)]);
+        assert_eq!(p.num_states(), 7);
+        assert_eq!(p.interner.borrow().heads.len(), 1, "one chain holds all");
+        for (index, value) in [0, 10, 20, 30, 40, 31, 41].into_iter().enumerate() {
+            assert_eq!(p.decode(index), Collider(value));
+            p.peek(index, |s| assert_eq!(s.0, value));
+        }
+    }
+
+    /// Integer slices are folded a word at a time, exactly like the same
+    /// integers written one by one, and the finalizer runs last.
+    #[test]
+    fn word_hash_folds_integer_slices_by_word() {
+        let mut words = Fnv64::new();
+        for w in [3u64, 1, u64::MAX, 0x0102_0304_0506_0708] {
+            words.write_u64(w);
+        }
+        let expected = splitmix64_finalize(words.finish());
+        // `Vec<u64>` hashes its length prefix, then the slice as raw bytes.
+        assert_eq!(
+            WordHash.hash_one(vec![1u64, u64::MAX, 0x0102_0304_0506_0708]),
+            expected
+        );
+        // A short tail is one zero-padded little-endian word.
+        let mut tail = Fnv64::new();
+        tail.write_u64(0x0003_0201);
+        let mut hasher = WordHash.build_hasher();
+        hasher.write(&[1, 2, 3]);
+        assert_eq!(hasher.finish(), splitmix64_finalize(tail.finish()));
+    }
+
+    thread_local! {
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A state that counts its clones (per test thread).
+    #[derive(Debug, PartialEq, Eq, Hash)]
+    struct Tracked(u32);
+
+    impl Clone for Tracked {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Tracked(self.0)
+        }
+    }
+
+    fn clones_during(f: impl FnOnce()) -> usize {
+        let before = CLONES.with(|c| c.get());
+        f();
+        CLONES.with(|c| c.get()) - before
+    }
+
+    #[test]
+    fn each_discovered_state_is_cloned_at_most_once() {
+        let p = DiscoveredProtocol::new(Bump(|s: &Tracked| s.0, Tracked));
+        let mut a = 0;
+        assert_eq!(
+            clones_during(|| a = p.encode(&Tracked(1))),
+            1,
+            "new: one copy"
+        );
+        assert_eq!(
+            clones_during(|| a = p.encode(&Tracked(1))),
+            0,
+            "known: none"
+        );
+        let b = p.encode(&Tracked(2));
+        let mut rng = SimRng::seed_from_u64(0);
+        let mut ctx = InteractionCtx::new(&mut rng, 0);
+        // The two endpoint clones are all: the minted outcome moves in.
+        let mut pair = (0, 0);
+        assert_eq!(
+            clones_during(|| pair = p.transition_indices(a, b, &mut ctx)),
+            2
+        );
+        assert_eq!(pair, (a, 2));
+        // The deterministic-support probe clones both endpoints; interning
+        // its outcomes (one known, one new) clones nothing further.
+        let mut support = Vec::new();
+        assert_eq!(clones_during(|| support = p.transition_support(b, b)), 2);
+        assert_eq!(support, vec![((b, 3), 1.0)]);
+        assert_eq!(p.decode(3), Tracked(2 + 2 + 1));
+        assert_eq!(p.num_states(), 4);
     }
 
     #[test]

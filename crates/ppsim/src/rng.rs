@@ -100,7 +100,14 @@ pub fn uniform_below_u128(rng: &mut dyn RngCore, bound: u128) -> u128 {
 /// birthday rate; experiment families avoid even that by xor-tagging their
 /// bases (e.g. `base ^ 0xE11`).
 pub fn derive_seed(base: u64, index: u64) -> u64 {
-    let mut z = base.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index.wrapping_add(1)));
+    splitmix64_finalize(
+        base.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index.wrapping_add(1))),
+    )
+}
+
+/// The SplitMix64 output finalizer: a bijection on `u64` that spreads every
+/// input bit over the whole word.
+pub(crate) fn splitmix64_finalize(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
