@@ -4,8 +4,9 @@
 //! thread counts, and an adaptive run's trace must record every handoff at
 //! exactly the absolute interaction indices engine introspection reports.
 
+use ppsim::digest::{fnv1a_64, hex16};
 use ppsim::engine::PerStepEngine;
-use ppsim::epidemic::OneWayEpidemic;
+use ppsim::epidemic::{OneWayEpidemic, TwoWayEpidemic};
 use ppsim::simulation::StabilizationOptions;
 use ppsim::telemetry::{Counter, TraceEvent};
 use ppsim::{
@@ -261,5 +262,47 @@ fn auto_trace_records_handoffs_at_introspected_indices() {
             traced as u64, seen,
             "trace disagrees with introspection at interaction {boundary}"
         );
+    }
+}
+
+/// The merged deterministic stream of `traced_trial`'s fleet, as a digest.
+fn fleet_stream_digest() -> String {
+    let mut merged = TelemetryReport::default();
+    for report in &TrialFleet::new(12, 0x7E1E_3141).run(traced_trial) {
+        merged.merge(report);
+    }
+    hex16(fnv1a_64(merged.deterministic_jsonl().as_bytes()))
+}
+
+/// One fixed-seed traced run per engine kind: an unconditional `run`, then
+/// `run_until` completion of a two-way epidemic, returning the digest of
+/// the deterministic stream.
+fn kind_stream_digest(kind: EngineKind) -> String {
+    let telemetry = Telemetry::enabled();
+    let mut sim = SimBuilder::new(TwoWayEpidemic::new(512, 2))
+        .kind(kind)
+        .seed(0x601D)
+        .telemetry(telemetry.clone())
+        .build();
+    sim.run(300);
+    let out = sim.run_until(&mut |c| c.count(1) == c.population(), u64::MAX);
+    assert!(out.satisfied, "{kind:?}");
+    let report = telemetry.report().expect("enabled handle has a report");
+    hex16(fnv1a_64(report.deterministic_jsonl().as_bytes()))
+}
+
+/// Golden digests of the deterministic stream: counters, histograms,
+/// balance summaries and handoff events are pure functions of the seed, so
+/// any change to an engine's RNG stream or accounting moves these.
+#[test]
+fn deterministic_stream_matches_golden_digests() {
+    assert_eq!(fleet_stream_digest(), "93ad8e510a470e9e", "fleet");
+    for (kind, golden) in [
+        (EngineKind::PerStep, "71e8025dd2130dcf"),
+        (EngineKind::Batched, "38219b6910d7359c"),
+        (EngineKind::MultiBatch, "f4fe5814fb3d5f9d"),
+        (EngineKind::Auto, "e61c408a0e45ef1e"),
+    ] {
+        assert_eq!(kind_stream_digest(kind), golden, "{kind:?}");
     }
 }
