@@ -11,10 +11,11 @@
 
 use crate::scale::Scale;
 use crate::table::{fmt_f64, Table};
-use ppsim::epidemic::{epidemic_constant, measure_epidemic_time, OneWayEpidemic};
+use ppsim::epidemic::{epidemic_constant, measure_epidemic_time_with, OneWayEpidemic};
 use ppsim::rng::derive_seed;
 use ppsim::{
-    AgentId, CleanInit, Configuration, InteractionCtx, Protocol, SimRng, Simulation, SyntheticCoin,
+    AgentId, CleanInit, Configuration, EngineKind, InteractionCtx, Protocol, SimRng, Simulation,
+    SyntheticCoin,
 };
 use rand::RngCore;
 use ssle_core::verify::{
@@ -39,8 +40,9 @@ pub fn e8_substrate(scale: Scale) -> Table {
         let trials = scale.trials();
         let constants: Vec<f64> = (0..trials)
             .map(|i| {
-                let t = measure_epidemic_time(
+                let t = measure_epidemic_time_with(
                     OneWayEpidemic::new(n, 1),
+                    EngineKind::PerStep,
                     derive_seed(scale.base_seed() ^ 0xE8, (n + i) as u64),
                     (200 * n * n) as u64,
                 )

@@ -102,7 +102,7 @@ impl RankingOutput for DirectCollisionSsle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppsim::{Configuration, Simulation};
+    use ppsim::{Configuration, Simulation, SimulationEngine};
 
     fn is_permutation(states: &[u32], n: usize) -> bool {
         let mut seen = vec![false; n + 1];
@@ -154,7 +154,7 @@ mod tests {
         let p = DirectCollisionSsle::new(n);
         let mut sim = ppsim::BatchSimulation::clean(p, 5);
         // A permutation in count space: every rank held by exactly one agent.
-        let out = sim.run_until(|c| c.counts().iter().all(|&c| c == 1), 50_000_000);
+        let out = sim.run_until(&mut |c| c.counts().iter().all(|&c| c == 1), 50_000_000);
         assert!(out.satisfied);
         let p = DirectCollisionSsle::new(n);
         assert!(p.is_correct_ranking(sim.to_configuration().as_slice()));

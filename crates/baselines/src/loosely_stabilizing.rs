@@ -165,7 +165,7 @@ impl LeaderOutput for LooselyStabilizingLe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppsim::{Configuration, Simulation};
+    use ppsim::{Configuration, Simulation, SimulationEngine};
 
     fn unique_leader(c: &Configuration<LooseState>) -> bool {
         c.count_where(|s| s.leader) == 1
@@ -266,7 +266,7 @@ mod tests {
         let p = LooselyStabilizingLe::with_timer_max(n, 200);
         let mut sim = ppsim::BatchSimulation::clean(p, 2);
         let out = sim.run_until(
-            |c| {
+            &mut |c| {
                 let p = LooselyStabilizingLe::with_timer_max(64, 200);
                 c.count_where(&p, |s| s.leader) == 1
             },

@@ -4,9 +4,8 @@
 //! engine pays for all `Θ(n log n)` of them, so the gap widens with `n`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppsim::epidemic::{
-    measure_epidemic_time_batched, measure_epidemic_time_coarse, OneWayEpidemic,
-};
+use ppsim::epidemic::{measure_epidemic_time_with, OneWayEpidemic};
+use ppsim::EngineKind;
 use std::time::Duration;
 
 fn budget(n: usize) -> u64 {
@@ -21,18 +20,28 @@ fn bench_engines(c: &mut Criterion) {
     for n in [1_000usize, 10_000, 100_000] {
         group.bench_with_input(BenchmarkId::new("per_step", n), &n, |b, &n| {
             let mut seed = 0u64;
-            let check = (n as u64 / 8).max(256);
             b.iter(|| {
                 seed += 1;
-                measure_epidemic_time_coarse(OneWayEpidemic::new(n, 1), seed, budget(n), check)
-                    .unwrap()
+                measure_epidemic_time_with(
+                    OneWayEpidemic::new(n, 1),
+                    EngineKind::PerStep,
+                    seed,
+                    budget(n),
+                )
+                .unwrap()
             });
         });
         group.bench_with_input(BenchmarkId::new("batched", n), &n, |b, &n| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                measure_epidemic_time_batched(OneWayEpidemic::new(n, 1), seed, budget(n)).unwrap()
+                measure_epidemic_time_with(
+                    OneWayEpidemic::new(n, 1),
+                    EngineKind::Batched,
+                    seed,
+                    budget(n),
+                )
+                .unwrap()
             });
         });
     }
@@ -45,7 +54,13 @@ fn bench_engines(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                measure_epidemic_time_batched(OneWayEpidemic::new(n, 1), seed, budget(n)).unwrap()
+                measure_epidemic_time_with(
+                    OneWayEpidemic::new(n, 1),
+                    EngineKind::Batched,
+                    seed,
+                    budget(n),
+                )
+                .unwrap()
             });
         },
     );

@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppsim::epidemic::{OneWayEpidemic, INFORMED};
-use ppsim::{BatchSimulation, DiscoveredProtocol};
+use ppsim::{BatchSimulation, DiscoveredProtocol, SimulationEngine};
 use std::time::Duration;
 
 fn budget(n: usize) -> u64 {
@@ -22,7 +22,7 @@ fn budget(n: usize) -> u64 {
 
 fn complete_enumerated(n: usize, seed: u64) -> u64 {
     let mut sim = BatchSimulation::clean(OneWayEpidemic::new(n, 1), seed);
-    let out = sim.run_until(|c| c.count(INFORMED) == c.population(), budget(n));
+    let out = sim.run_until(&mut |c| c.count(INFORMED) == c.population(), budget(n));
     assert!(out.satisfied);
     out.interactions
 }
@@ -32,7 +32,7 @@ fn complete_discovered(n: usize, seed: u64) -> u64 {
     let handle = discovered.clone();
     let mut sim = BatchSimulation::clean(discovered, seed);
     let out = sim.run_until(
-        |c| (0..c.num_states()).all(|i| c.count(i) == 0 || handle.peek(i, |s| *s)),
+        &mut |c| (0..c.num_states()).all(|i| c.count(i) == 0 || handle.peek(i, |s| *s)),
         budget(n),
     );
     assert!(out.satisfied);

@@ -18,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppsim::epidemic::{OneWayEpidemic, INFORMED};
-use ppsim::{BatchSimulation, MultiBatchSimulation};
+use ppsim::{BatchSimulation, MultiBatchSimulation, SimulationEngine};
 use std::time::Duration;
 
 fn budget(n: usize) -> u64 {
@@ -28,14 +28,14 @@ fn budget(n: usize) -> u64 {
 
 fn complete_batched(n: usize, sources: usize, seed: u64) -> u64 {
     let mut sim = BatchSimulation::clean(OneWayEpidemic::new(n, sources), seed);
-    let out = sim.run_until(|c| c.count(INFORMED) == c.population(), budget(n));
+    let out = sim.run_until(&mut |c| c.count(INFORMED) == c.population(), budget(n));
     assert!(out.satisfied);
     out.interactions
 }
 
 fn complete_multibatch(n: usize, sources: usize, seed: u64) -> u64 {
     let mut sim = MultiBatchSimulation::clean(OneWayEpidemic::new(n, sources), seed);
-    let out = sim.run_until(|c| c.count(INFORMED) == c.population(), budget(n));
+    let out = sim.run_until(&mut |c| c.count(INFORMED) == c.population(), budget(n));
     assert!(out.satisfied);
     out.interactions
 }

@@ -47,30 +47,17 @@
 //! [`EnumerableProtocol::transition_indices`] call otherwise.
 
 use crate::configuration::Configuration;
-use crate::convergence::{StabilizationDetector, StabilizationResult};
+use crate::convergence::Advance;
 use crate::count_config::{validate_engine_inputs, CountConfiguration};
+use crate::engine::{PredicateGranularity, SimulationEngine};
 use crate::enumerable::EnumerableProtocol;
 use crate::error::SimError;
 use crate::protocol::{CleanInit, InteractionCtx};
 use crate::rng::{uniform_below_u128, SimRng};
-use crate::simulation::{RunOutcome, StabilizationOptions};
-use crate::telemetry::{Counter, SpanKind, Telemetry};
+use crate::telemetry::{Counter, SpanGuard, SpanKind, Telemetry};
 use rand::distributions::{Distribution, Geometric};
 use rand::RngCore;
 use std::collections::HashMap;
-
-/// What one call to [`BatchSimulation::advance_batch`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BatchOutcome {
-    /// Interactions charged to the counter (silent run plus, if `changed`,
-    /// the one non-silent interaction ending it).
-    executed: u64,
-    /// Whether a non-silent interaction was executed.
-    changed: bool,
-    /// Whether the configuration can never change again (no non-silent state
-    /// pair is occupied); the whole budget was consumed as silence.
-    stalled: bool,
-}
 
 /// A Fenwick (binary indexed) tree over `u128` weights with appendable
 /// positions and prefix-threshold search.
@@ -521,6 +508,9 @@ pub struct BatchSimulation<P: EnumerableProtocol> {
     /// Fenwick update count already copied into the telemetry counters
     /// (delta snapshotting keeps the hot path free of per-update probes).
     fenwick_seen: u64,
+    /// The `batched.run` span of the current run call: opened by its first
+    /// advance, closed when the run loop ends.
+    span: Option<SpanGuard>,
 }
 
 impl<P: EnumerableProtocol> BatchSimulation<P> {
@@ -553,6 +543,7 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
             pairs,
             telemetry: Telemetry::disabled(),
             fenwick_seen: 0,
+            span: None,
         })
     }
 
@@ -606,27 +597,6 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
         Self::new(protocol, counts, seed)
     }
 
-    /// The protocol being simulated.
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
-    /// The current configuration, as state counts.
-    pub fn counts(&self) -> &CountConfiguration {
-        &self.counts
-    }
-
-    /// Materializes the current configuration per agent (ordered by state
-    /// index; agents are anonymous).
-    pub fn to_configuration(&self) -> Configuration<P::State> {
-        self.counts.to_configuration(&self.protocol)
-    }
-
-    /// Number of interactions executed (batched silent runs included).
-    pub fn interactions(&self) -> u64 {
-        self.interactions
-    }
-
     /// Number of non-silent interactions actually executed — the quantity
     /// the engine's running time is proportional to.
     ///
@@ -634,11 +604,6 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
     /// interaction of a randomized pair may still map the pair to itself.
     pub fn active_interactions(&self) -> u64 {
         self.active_interactions
-    }
-
-    /// Parallel time elapsed so far (interactions divided by `n`).
-    pub fn parallel_time(&self) -> f64 {
-        self.interactions as f64 / self.counts.population() as f64
     }
 
     /// The probability that the next uniformly random ordered pair is
@@ -676,8 +641,8 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
 
     /// Advances by one batch: a sampled run of silent interactions followed
     /// by one non-silent interaction, truncated to `budget` interactions in
-    /// total.
-    fn advance_batch(&mut self, budget: u64) -> BatchOutcome {
+    /// total. Stalls when no occupied pair is non-silent.
+    fn advance_batch(&mut self, budget: u64) -> Advance {
         debug_assert!(budget > 0);
         let n = self.counts.population();
         // The exact n(n−1) overflows u64 past n ≈ 2³²; the ratio below only
@@ -691,9 +656,8 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
             self.telemetry.count(Counter::BatchedStalls, 1);
             self.telemetry.count(Counter::BatchedInteractions, budget);
             self.telemetry.count(Counter::BatchedSilentSkipped, budget);
-            return BatchOutcome {
+            return Advance {
                 executed: budget,
-                changed: false,
                 stalled: true,
             };
         }
@@ -712,9 +676,8 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
             self.telemetry.count(Counter::BatchedTruncatedRuns, 1);
             self.telemetry.count(Counter::BatchedInteractions, budget);
             self.telemetry.count(Counter::BatchedSilentSkipped, budget);
-            return BatchOutcome {
+            return Advance {
                 executed: budget,
-                changed: false,
                 stalled: false,
             };
         }
@@ -771,117 +734,39 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
                 .count(Counter::BatchedFenwickUpdates, updates - self.fenwick_seen);
             self.fenwick_seen = updates;
         }
-        BatchOutcome {
+        Advance {
             executed: silent + 1,
-            changed: true,
             stalled: false,
         }
     }
+}
 
-    /// Executes exactly `budget` interactions (batching silent runs) and
-    /// returns the number of non-silent ones among them.
-    pub fn run(&mut self, budget: u64) -> u64 {
-        let _span = self.telemetry.span(SpanKind::BatchedRun);
-        let before = self.active_interactions;
-        let mut done = 0;
-        while done < budget {
-            done += self.advance_batch(budget - done).executed;
-        }
-        self.active_interactions - before
+/// The batched engine behind the unified surface: predicates are observed
+/// after every batch, which is exact, because silent interactions cannot
+/// change the configuration.
+impl<P: EnumerableProtocol> SimulationEngine<P> for BatchSimulation<P> {
+    fn protocol(&self) -> &P {
+        &self.protocol
     }
-
-    /// Runs until `pred` holds for the current count configuration or
-    /// `budget` interactions have been executed by this call.
-    ///
-    /// Because silent interactions cannot change the configuration, the
-    /// predicate is evaluated only after state changes; the reported
-    /// [`RunOutcome::interactions`] count is nevertheless exact — and, as in
-    /// the per-agent engine, it is **relative**: the number of interactions
-    /// executed *by this call*, not the absolute interaction index (contrast
-    /// [`StabilizationResult::stabilized_at`], which is absolute).
-    pub fn run_until<F>(&mut self, mut pred: F, budget: u64) -> RunOutcome
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
-        let _span = self.telemetry.span(SpanKind::BatchedRun);
-        let mut done = 0;
-        loop {
-            if pred(&self.counts) {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: true,
-                };
-            }
-            if done >= budget {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: false,
-                };
-            }
-            let batch = self.advance_batch(budget - done);
-            done += batch.executed;
-            if batch.stalled {
-                // The predicate is false and no transition can ever fire
-                // again; the budget has been consumed as silence.
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: false,
-                };
-            }
-        }
+    fn counts(&self) -> &CountConfiguration {
+        &self.counts
     }
-
-    /// Measures the stabilization time of the output predicate `pred`, with
-    /// the same semantics as [`crate::Simulation::measure_stabilization`]:
-    /// [`StabilizationResult::stabilized_at`] is an **absolute** interaction
-    /// index (counted from the construction of the simulation, so a
-    /// warm-started measurement includes the interactions executed before
-    /// this call), while [`StabilizationResult::interactions`] is relative —
-    /// the number executed by this call alone. The run stops early once the
-    /// predicate has held for `opts.confirm_window` consecutive interactions.
-    ///
-    /// `opts.check_every` is ignored: silent interactions cannot change the
-    /// predicate, so checking after every state change is both exact and
-    /// free, a strict improvement over sampled checking.
-    pub fn measure_stabilization<F>(
-        &mut self,
-        mut pred: F,
-        opts: StabilizationOptions,
-    ) -> StabilizationResult
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
-        let _span = self.telemetry.span(SpanKind::BatchedRun);
-        let n = self.counts.population() as usize;
-        let start = self.interactions;
-        let mut detector = StabilizationDetector::new();
-        detector.observe(start, pred(&self.counts));
-        let mut executed = 0u64;
-        while executed < opts.budget {
-            let now = start + executed;
-            let mut cap = opts.budget - executed;
-            if detector.satisfied_now() {
-                let held = detector.consecutive(now);
-                if held >= opts.confirm_window {
-                    break;
-                }
-                // No need to simulate past the end of the confirmation
-                // window: if the run stays silent that long, we are done.
-                cap = cap.min(opts.confirm_window - held);
-            }
-            let batch = self.advance_batch(cap);
-            executed += batch.executed;
-            detector.observe(start + executed, pred(&self.counts));
-            if batch.stalled {
-                // The current predicate value holds forever.
-                break;
-            }
-        }
-        StabilizationResult {
-            interactions: executed,
-            stabilized_at: detector.stabilized_at(),
-            n,
-        }
+    fn to_configuration(&self) -> Configuration<P::State> {
+        self.counts.to_configuration(&self.protocol)
+    }
+    fn interactions(&self) -> u64 {
+        self.interactions
+    }
+    fn predicate_granularity(&self) -> PredicateGranularity {
+        PredicateGranularity::Interaction
+    }
+    fn advance(&mut self, cap: u64) -> Advance {
+        self.span
+            .get_or_insert_with(|| self.telemetry.span(SpanKind::BatchedRun));
+        self.advance_batch(cap)
+    }
+    fn end_run(&mut self, _checks: u64) {
+        self.span = None;
     }
 }
 
@@ -890,12 +775,13 @@ mod tests {
     use super::*;
     use crate::epidemic::{OneWayEpidemic, TwoWayEpidemic};
     use crate::protocol::{AgentId, Protocol};
+    use crate::simulation::StabilizationOptions;
 
     #[test]
     fn batched_epidemic_reaches_everyone() {
         let p = OneWayEpidemic::new(256, 1);
         let mut sim = BatchSimulation::clean(p, 7);
-        let out = sim.run_until(|c| c.count(1) == c.population(), 10_000_000);
+        let out = sim.run_until(&mut |c| c.count(1) == c.population(), 10_000_000);
         assert!(out.satisfied);
         assert_eq!(sim.counts().count(1), 256);
         assert_eq!(sim.counts().count(0), 0);
@@ -911,8 +797,8 @@ mod tests {
         // Everyone already informed: every pair is silent.
         let p = TwoWayEpidemic::new(64, 64);
         let mut sim = BatchSimulation::clean(p, 3);
-        let active = sim.run(1_000_000);
-        assert_eq!(active, 0);
+        assert_eq!(sim.run(1_000_000), 1_000_000);
+        assert_eq!(sim.active_interactions(), 0);
         assert_eq!(sim.interactions(), 1_000_000);
         assert_eq!(sim.counts().count(1), 64);
     }
@@ -921,7 +807,7 @@ mod tests {
     fn run_until_budget_exhaustion_reports_unsatisfied() {
         let p = OneWayEpidemic::new(64, 1);
         let mut sim = BatchSimulation::clean(p, 5);
-        let out = sim.run_until(|c| c.count(1) == c.population(), 10);
+        let out = sim.run_until(&mut |c| c.count(1) == c.population(), 10);
         assert!(!out.satisfied);
         assert_eq!(out.interactions, 10);
     }
@@ -931,7 +817,7 @@ mod tests {
         let run = |seed: u64| {
             let p = OneWayEpidemic::new(128, 1);
             let mut sim = BatchSimulation::clean(p, seed);
-            let out = sim.run_until(|c| c.count(1) == c.population(), 10_000_000);
+            let out = sim.run_until(&mut |c| c.count(1) == c.population(), 10_000_000);
             (out.interactions, sim.counts().clone())
         };
         assert_eq!(run(11), run(11));
@@ -943,7 +829,7 @@ mod tests {
         let p = TwoWayEpidemic::new(128, 1);
         let mut sim = BatchSimulation::clean(p, 3);
         let opts = StabilizationOptions::new(128, 10_000_000).confirm_window(5_000);
-        let res = sim.measure_stabilization(|c| c.count(1) == c.population(), opts);
+        let res = sim.measure_stabilization(&mut |c| c.count(1) == c.population(), opts);
         assert!(res.stabilized());
         let t = res.stabilized_at.unwrap();
         assert!(t > 0 && t < 10_000_000);
@@ -958,7 +844,7 @@ mod tests {
         let p = TwoWayEpidemic::new(32, 32);
         let mut sim = BatchSimulation::clean(p, 1);
         let opts = StabilizationOptions::new(32, u64::MAX / 2).confirm_window(1_000);
-        let res = sim.measure_stabilization(|c| c.count(1) == c.population(), opts);
+        let res = sim.measure_stabilization(&mut |c| c.count(1) == c.population(), opts);
         assert!(res.stabilized());
         assert_eq!(res.stabilized_at, Some(0));
         assert!(res.interactions <= 1_000);
@@ -1095,7 +981,8 @@ mod tests {
         assert!(expected_weight > u128::from(u64::MAX));
         let frac = sim.active_fraction();
         assert!(frac > 0.24 && frac < 0.26, "activity ≈ 1/4, got {frac}");
-        let active = sim.run(400);
+        sim.run(400);
+        let active = sim.active_interactions();
         assert_eq!(sim.interactions(), 400);
         assert!(active > 0, "expected ≈100 infections in 400 interactions");
         assert_eq!(sim.counts().count(1), half + active);

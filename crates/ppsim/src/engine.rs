@@ -2,13 +2,6 @@
 //! builder that replaces per-engine constructor plumbing, and the adaptive
 //! auto-switching engine.
 //!
-//! `ppsim` grew three engines — the per-agent [`Simulation`], the silent-run
-//! skipping [`BatchSimulation`], and the collision-sampling
-//! [`MultiBatchSimulation`] — that share their `run` / `run_until` /
-//! `measure_stabilization` surface only by convention, leaving every caller
-//! to hand-dispatch over an engine enum. This module makes the convention a
-//! contract:
-//!
 //! * [`SimulationEngine`] — the shared surface as an object-safe trait, with
 //!   predicates over [`CountConfiguration`] (the representation every engine
 //!   can serve) and an explicit [`SimulationEngine::predicate_granularity`]
@@ -28,29 +21,34 @@
 //!   threshold, preserving exact budget accounting and absolute interaction
 //!   indices across the handoff.
 //!
+//! # One primitive, one loop
+//!
+//! Each engine implements one primitive, [`SimulationEngine::advance`]: it
+//! executes at least one and at most `cap` interactions and reports an
+//! [`Advance`] — how many it executed, and whether the configuration is
+//! frozen (`stalled`), in which case the whole cap was consumed as silence.
+//! The per-step engine advances by one interaction, the batched engine by
+//! one silent run plus the state change ending it, the multi-batch engine
+//! by one epoch. [`SimulationEngine::run`], [`SimulationEngine::run_until`]
+//! and [`SimulationEngine::measure_stabilization`] are provided methods over
+//! that primitive — the loops of [`crate::convergence`], shared with the
+//! bare [`Simulation`] — so budgets, confirmation windows, stall
+//! short-circuits and absolute indices mean the same on every tier.
+//!
 //! # Predicate granularity
 //!
-//! The engines observe stop/stabilization predicates at different points,
-//! and this is the **one** place the contract is written down:
+//! The loops observe stop/stabilization predicates after every advance, so
+//! the granularity is the engine's advance step:
 //!
-//! * [`BatchSimulation`] evaluates predicates after every state-changing
-//!   interaction — exact, because silent interactions cannot change the
-//!   configuration ([`PredicateGranularity::Interaction`]).
-//! * [`PerStepEngine`] evaluates predicates every `check_every` interactions
-//!   ([`PredicateGranularity::Every`]): hitting times overshoot by less than
-//!   the stride. This is the coarse-checking contract that
-//!   [`crate::epidemic::measure_epidemic_time_coarse`] exposes for epidemic
-//!   workloads, routed through this engine.
-//! * [`MultiBatchSimulation`] evaluates predicates at epoch commits — the
+//! * [`PerStepEngine`] and [`BatchSimulation`] observe predicates after every
+//!   interaction that can change the configuration — exact, because silent
+//!   interactions cannot change it ([`PredicateGranularity::Interaction`]).
+//! * [`MultiBatchSimulation`] observes predicates at epoch commits — the
 //!   interactions inside an epoch have no defined intermediate order — so
 //!   hitting times carry `O(√n)` observation granularity
 //!   ([`PredicateGranularity::EpochCommit`]).
 //! * [`AdaptiveSimulation`] reports the granularity of whichever engine is
 //!   currently active.
-//!
-//! `StabilizationOptions::check_every` is honored by the per-step engine
-//! only; the count engines already observe at their intrinsic granularity
-//! (see the table above) and ignore it.
 //!
 //! # Quick example
 //!
@@ -71,7 +69,7 @@
 
 use crate::batched::BatchSimulation;
 use crate::configuration::Configuration;
-use crate::convergence::{StabilizationDetector, StabilizationResult};
+use crate::convergence::{self, Advance, Drive, StabilizationResult};
 use crate::count_config::CountConfiguration;
 use crate::enumerable::EnumerableProtocol;
 use crate::error::SimError;
@@ -80,8 +78,9 @@ use crate::multibatch::MultiBatchSimulation;
 use crate::protocol::CleanInit;
 use crate::rng::derive_seed;
 use crate::simulation::{RunOutcome, Simulation, StabilizationOptions};
-use crate::telemetry::{BalanceSummary, Counter, SpanKind, Telemetry};
+use crate::telemetry::{BalanceSummary, Counter, SpanGuard, SpanKind, Telemetry};
 use serde::Serialize;
+use std::marker::PhantomData;
 
 /// The simulation engine a run executes under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -133,9 +132,6 @@ pub enum PredicateGranularity {
     /// Observed after every interaction that can change the configuration:
     /// hitting times are exact at interaction resolution.
     Interaction,
-    /// Observed every `stride` interactions: hitting times overshoot the
-    /// true hitting time by less than `stride`.
-    Every(u64),
     /// Observed at epoch commits with the given expected epoch length
     /// (`≈ 0.63·√n` interactions): hitting times overshoot by one epoch.
     EpochCommit {
@@ -196,111 +192,85 @@ pub trait SimulationEngine<P: EnumerableProtocol> {
     /// reason.
     fn predicate_granularity(&self) -> PredicateGranularity;
 
+    /// The one primitive: executes at least one and at most `cap ≥ 1`
+    /// interactions (one advance step, see the [module docs](self)) and
+    /// reports how many, and whether the configuration is frozen. A per-step
+    /// engine whose scripted scheduler ran out reports 0.
+    ///
+    /// A telemetry span opened by an advance stays open until
+    /// [`SimulationEngine::end_run`].
+    fn advance(&mut self, cap: u64) -> Advance;
+
+    /// Ends one run call that evaluated its predicate `checks` times: closes
+    /// the engine's telemetry span and flushes per-run summaries. The run
+    /// loops call it; a no-op by default.
+    fn end_run(&mut self, _checks: u64) {}
+
     /// Executes up to `budget` interactions unconditionally and returns the
     /// number executed (always `budget` except for a per-step engine whose
     /// scripted scheduler ran out).
-    fn run(&mut self, budget: u64) -> u64;
+    fn run(&mut self, budget: u64) -> u64 {
+        convergence::run(&mut Counts::new(self), budget)
+    }
 
     /// Runs until `pred` holds or `budget` interactions have been executed
     /// by this call, observing `pred` at this engine's
-    /// [`SimulationEngine::predicate_granularity`].
+    /// [`SimulationEngine::predicate_granularity`]. Returns unsatisfied as
+    /// soon as the engine stalls.
     fn run_until(
         &mut self,
         pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         budget: u64,
-    ) -> RunOutcome;
+    ) -> RunOutcome {
+        convergence::run_until(&mut Counts::new(self), pred, budget)
+    }
 
     /// Measures the stabilization time of `pred`:
     /// [`StabilizationResult::stabilized_at`] is the absolute interaction
     /// index from which the predicate held until the end of the run, with
     /// the run stopping early once it has held for `opts.confirm_window`
-    /// consecutive interactions. `opts.check_every` applies to the per-step
-    /// engine only (see the [module docs](self)).
-    fn measure_stabilization(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        opts: StabilizationOptions,
-    ) -> StabilizationResult;
-}
-
-impl<P: EnumerableProtocol> SimulationEngine<P> for BatchSimulation<P> {
-    fn protocol(&self) -> &P {
-        BatchSimulation::protocol(self)
-    }
-    fn counts(&self) -> &CountConfiguration {
-        BatchSimulation::counts(self)
-    }
-    fn to_configuration(&self) -> Configuration<P::State> {
-        BatchSimulation::to_configuration(self)
-    }
-    fn interactions(&self) -> u64 {
-        BatchSimulation::interactions(self)
-    }
-    fn predicate_granularity(&self) -> PredicateGranularity {
-        PredicateGranularity::Interaction
-    }
-    fn run(&mut self, budget: u64) -> u64 {
-        BatchSimulation::run(self, budget);
-        budget
-    }
-    fn run_until(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        budget: u64,
-    ) -> RunOutcome {
-        BatchSimulation::run_until(self, |c| pred(c), budget)
-    }
+    /// consecutive interactions, or once the engine stalls.
     fn measure_stabilization(
         &mut self,
         pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         opts: StabilizationOptions,
     ) -> StabilizationResult {
-        BatchSimulation::measure_stabilization(self, |c| pred(c), opts)
+        convergence::measure_stabilization(&mut Counts::new(self), pred, opts)
     }
 }
 
-impl<P: EnumerableProtocol> SimulationEngine<P> for MultiBatchSimulation<P> {
-    fn protocol(&self) -> &P {
-        MultiBatchSimulation::protocol(self)
+/// A [`SimulationEngine`] as the shared run loops drive it, observing counts.
+struct Counts<'a, P, E: ?Sized>(&'a mut E, PhantomData<fn() -> P>);
+
+impl<'a, P: EnumerableProtocol, E: SimulationEngine<P> + ?Sized> Counts<'a, P, E> {
+    fn new(engine: &'a mut E) -> Self {
+        Counts(engine, PhantomData)
     }
-    fn counts(&self) -> &CountConfiguration {
-        MultiBatchSimulation::counts(self)
-    }
-    fn to_configuration(&self) -> Configuration<P::State> {
-        MultiBatchSimulation::to_configuration(self)
+}
+
+impl<P: EnumerableProtocol, E: SimulationEngine<P> + ?Sized> Drive for Counts<'_, P, E> {
+    type View = CountConfiguration;
+    fn view(&self) -> &CountConfiguration {
+        self.0.counts()
     }
     fn interactions(&self) -> u64 {
-        MultiBatchSimulation::interactions(self)
+        self.0.interactions()
     }
-    fn predicate_granularity(&self) -> PredicateGranularity {
-        PredicateGranularity::EpochCommit {
-            expected_interactions: expected_epoch_length(self.counts().population()),
-        }
+    fn population(&self) -> usize {
+        self.0.counts().population() as usize
     }
-    fn run(&mut self, budget: u64) -> u64 {
-        MultiBatchSimulation::run(self, budget);
-        budget
+    fn advance(&mut self, cap: u64) -> Advance {
+        self.0.advance(cap)
     }
-    fn run_until(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        budget: u64,
-    ) -> RunOutcome {
-        MultiBatchSimulation::run_until(self, |c| pred(c), budget)
-    }
-    fn measure_stabilization(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        opts: StabilizationOptions,
-    ) -> StabilizationResult {
-        MultiBatchSimulation::measure_stabilization(self, |c| pred(c), opts)
+    fn end_run(&mut self, checks: u64) {
+        self.0.end_run(checks);
     }
 }
 
 /// The expected multi-batch epoch length at population size `n`
 /// (`≈ 0.63·√n` by the birthday bound), as advertised through
 /// [`PredicateGranularity::EpochCommit`].
-fn expected_epoch_length(n: u64) -> u64 {
+pub(crate) fn expected_epoch_length(n: u64) -> u64 {
     ((0.6321 * (n as f64).sqrt()).ceil() as u64).max(1)
 }
 
@@ -343,11 +313,6 @@ fn measured_active_fraction<P: EnumerableProtocol>(
 /// per evaluation instead of an O(n) rebuild. The underlying simulation
 /// consumes randomness exactly as a bare [`Simulation`] with the same seed —
 /// trajectories are identical, the mirror is pure bookkeeping.
-///
-/// Predicates are evaluated every [`PerStepEngine::with_check_every`]
-/// interactions (default: every interaction). A stride above 1 trades
-/// hitting-time resolution for fewer predicate evaluations — the coarse
-/// contract documented on [`PredicateGranularity::Every`].
 #[derive(Debug)]
 pub struct PerStepEngine<P: EnumerableProtocol> {
     sim: Simulation<P>,
@@ -356,7 +321,6 @@ pub struct PerStepEngine<P: EnumerableProtocol> {
     /// per-agent half of the mirror, needed to know which counter an agent
     /// leaves when its state changes.
     encoded: Vec<usize>,
-    check_every: u64,
     /// Observability handle; disabled by default, in which case every probe
     /// is an early-out on a `None` and trajectories are untouched.
     telemetry: Telemetry,
@@ -364,6 +328,9 @@ pub struct PerStepEngine<P: EnumerableProtocol> {
     /// enabled (the `O(n)` vector and two increments per interaction are
     /// pure observability — nothing in the engine reads them back).
     metrics: Option<InteractionMetrics>,
+    /// The `per_step.run` span of the current run call: opened by its first
+    /// advance, closed when the run loop ends.
+    span: Option<SpanGuard>,
 }
 
 impl<P: EnumerableProtocol> PerStepEngine<P> {
@@ -391,9 +358,9 @@ impl<P: EnumerableProtocol> PerStepEngine<P> {
             sim: Simulation::new(protocol, config, seed),
             counts: CountConfiguration::from_counts(counts),
             encoded,
-            check_every: 1,
             telemetry: Telemetry::disabled(),
             metrics: None,
+            span: None,
         }
     }
 
@@ -429,13 +396,6 @@ impl<P: EnumerableProtocol> PerStepEngine<P> {
     {
         let config = Configuration::clean(&protocol);
         Self::new(protocol, config, seed)
-    }
-
-    /// Sets the predicate check stride for `run_until` (clamped to ≥ 1):
-    /// hitting times overshoot by less than the stride.
-    pub fn with_check_every(mut self, every: u64) -> Self {
-        self.check_every = every.max(1);
-        self
     }
 
     /// The wrapped per-agent simulation (per-agent metrics, exact
@@ -487,102 +447,6 @@ impl<P: EnumerableProtocol> PerStepEngine<P> {
             });
         }
     }
-
-    /// Executes up to `budget` interactions unconditionally; returns the
-    /// number executed (less only if the scheduler ran out).
-    pub fn run(&mut self, budget: u64) -> u64 {
-        let _span = self.telemetry.span(SpanKind::PerStepRun);
-        let mut done = 0;
-        while done < budget && self.step_once() {
-            done += 1;
-        }
-        self.flush_balance();
-        done
-    }
-
-    /// Runs until `pred` holds for the count mirror or `budget` interactions
-    /// have been executed by this call, checking `pred` every
-    /// [`PerStepEngine::with_check_every`] interactions.
-    pub fn run_until<F>(&mut self, mut pred: F, budget: u64) -> RunOutcome
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
-        let _span = self.telemetry.span(SpanKind::PerStepRun);
-        let mut done = 0u64;
-        loop {
-            self.telemetry.count(Counter::PerStepStrideChecks, 1);
-            if pred(&self.counts) {
-                self.flush_balance();
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: true,
-                };
-            }
-            if done >= budget {
-                self.flush_balance();
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: false,
-                };
-            }
-            let chunk = self.check_every.min(budget - done);
-            let mut ran = 0u64;
-            while ran < chunk && self.step_once() {
-                ran += 1;
-            }
-            done += ran;
-            if ran < chunk {
-                // Scheduler exhausted mid-chunk: one final observation.
-                self.telemetry.count(Counter::PerStepStrideChecks, 1);
-                let satisfied = pred(&self.counts);
-                self.flush_balance();
-                return RunOutcome {
-                    interactions: done,
-                    satisfied,
-                };
-            }
-        }
-    }
-
-    /// Measures the stabilization time of `pred` with the exact semantics of
-    /// [`Simulation::measure_stabilization`] (absolute
-    /// [`StabilizationResult::stabilized_at`], `opts.check_every` honored),
-    /// evaluated on the count mirror.
-    pub fn measure_stabilization<F>(
-        &mut self,
-        mut pred: F,
-        opts: StabilizationOptions,
-    ) -> StabilizationResult
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
-        let _span = self.telemetry.span(SpanKind::PerStepRun);
-        let n = self.counts.population() as usize;
-        let start = self.sim.interactions();
-        let mut detector = StabilizationDetector::new();
-        detector.observe(start, pred(&self.counts));
-        let mut executed = 0u64;
-        while executed < opts.budget {
-            if !self.step_once() {
-                break;
-            }
-            executed += 1;
-            if executed % opts.check_every == 0 {
-                self.telemetry.count(Counter::PerStepStrideChecks, 1);
-                detector.observe(start + executed, pred(&self.counts));
-                if detector.consecutive(start + executed) >= opts.confirm_window {
-                    break;
-                }
-            }
-        }
-        detector.observe(start + executed, pred(&self.counts));
-        self.flush_balance();
-        StabilizationResult {
-            interactions: executed,
-            stabilized_at: detector.stabilized_at(),
-            n,
-        }
-    }
 }
 
 impl<P: EnumerableProtocol> SimulationEngine<P> for PerStepEngine<P> {
@@ -599,28 +463,20 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for PerStepEngine<P> {
         self.sim.interactions()
     }
     fn predicate_granularity(&self) -> PredicateGranularity {
-        if self.check_every <= 1 {
-            PredicateGranularity::Interaction
-        } else {
-            PredicateGranularity::Every(self.check_every)
+        PredicateGranularity::Interaction
+    }
+    fn advance(&mut self, _cap: u64) -> Advance {
+        self.span
+            .get_or_insert_with(|| self.telemetry.span(SpanKind::PerStepRun));
+        Advance {
+            executed: u64::from(self.step_once()),
+            stalled: false,
         }
     }
-    fn run(&mut self, budget: u64) -> u64 {
-        PerStepEngine::run(self, budget)
-    }
-    fn run_until(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        budget: u64,
-    ) -> RunOutcome {
-        PerStepEngine::run_until(self, |c| pred(c), budget)
-    }
-    fn measure_stabilization(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        opts: StabilizationOptions,
-    ) -> StabilizationResult {
-        PerStepEngine::measure_stabilization(self, |c| pred(c), opts)
+    fn end_run(&mut self, checks: u64) {
+        self.telemetry.count(Counter::PerStepStrideChecks, checks);
+        self.flush_balance();
+        self.span = None;
     }
 }
 
@@ -692,6 +548,18 @@ enum ActiveEngine<P: EnumerableProtocol> {
     Swapping,
 }
 
+/// Evaluates `$body` with `$sim` bound to the active engine of an
+/// [`ActiveEngine`] (a static dispatch per arm).
+macro_rules! on_active {
+    ($inner:expr, $sim:ident => $body:expr) => {
+        match $inner {
+            ActiveEngine::Batched($sim) => $body,
+            ActiveEngine::MultiBatch($sim) => $body,
+            ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
+        }
+    };
+}
+
 /// The `Auto` engine tier: multi-batch while activity is high, batched once
 /// silence dominates.
 ///
@@ -702,7 +570,7 @@ enum ActiveEngine<P: EnumerableProtocol> {
 /// truncate their batches at arbitrary interaction budgets without biasing
 /// the schedule (geometric silent runs are memoryless, epoch prefixes are
 /// exchangeable), so the stitched run has exactly the uniform-scheduler
-/// distribution, and [`AdaptiveSimulation::interactions`] /
+/// distribution, and [`SimulationEngine::interactions`] /
 /// [`StabilizationResult::stabilized_at`] stay absolute across handoffs.
 ///
 /// The per-handoff cost is one `O(#occupied states²)` pair-index rebuild
@@ -797,11 +665,7 @@ impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
     /// with the activity measurement that selected it re-taken.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry.clone();
-        match &mut self.inner {
-            ActiveEngine::Batched(sim) => sim.set_telemetry(telemetry),
-            ActiveEngine::MultiBatch(sim) => sim.set_telemetry(telemetry),
-            ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
-        }
+        on_active!(&mut self.inner, sim => sim.set_telemetry(telemetry));
         if self.telemetry.is_enabled() {
             self.telemetry
                 .record_engine_selected(self.current_kind().label(), self.active_fraction());
@@ -940,218 +804,47 @@ impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
             self.swap();
         }
     }
-
-    /// Runs the activity check if its interval elapsed and returns the next
-    /// chunk size toward `remaining`.
-    fn next_chunk(&mut self, remaining: u64) -> u64 {
-        if self.until_check == 0 {
-            self.maybe_switch();
-            self.until_check = self.config.check_interval;
-        }
-        remaining.min(self.until_check)
-    }
-
-    /// Number of interactions executed since construction — absolute across
-    /// handoffs (retired engines' interactions included).
-    pub fn interactions(&self) -> u64 {
-        let inner = match &self.inner {
-            ActiveEngine::Batched(sim) => sim.interactions(),
-            ActiveEngine::MultiBatch(sim) => sim.interactions(),
-            ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
-        };
-        self.base_interactions + inner
-    }
-
-    /// The current configuration, as state counts.
-    pub fn counts(&self) -> &CountConfiguration {
-        match &self.inner {
-            ActiveEngine::Batched(sim) => sim.counts(),
-            ActiveEngine::MultiBatch(sim) => sim.counts(),
-            ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
-        }
-    }
-
-    /// The protocol being simulated.
-    pub fn protocol(&self) -> &P {
-        match &self.inner {
-            ActiveEngine::Batched(sim) => sim.protocol(),
-            ActiveEngine::MultiBatch(sim) => sim.protocol(),
-            ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
-        }
-    }
-
-    /// Parallel time elapsed so far (interactions divided by `n`).
-    pub fn parallel_time(&self) -> f64 {
-        self.interactions() as f64 / self.counts().population() as f64
-    }
-
-    /// Executes exactly `budget` interactions, measuring activity (and
-    /// possibly switching engines) every
-    /// [`AdaptiveConfig::check_interval`] interactions.
-    pub fn run(&mut self, budget: u64) -> u64 {
-        let mut done = 0u64;
-        while done < budget {
-            let chunk = self.next_chunk(budget - done);
-            match &mut self.inner {
-                ActiveEngine::Batched(sim) => {
-                    sim.run(chunk);
-                }
-                ActiveEngine::MultiBatch(sim) => {
-                    sim.run(chunk);
-                }
-                ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
-            }
-            done += chunk;
-            self.until_check -= chunk;
-        }
-        budget
-    }
-
-    /// Runs until `pred` holds or `budget` interactions have been executed
-    /// by this call. The predicate is observed at the *active* engine's
-    /// granularity (exact per state change in batched mode, per epoch commit
-    /// in multi-batch mode).
-    pub fn run_until<F>(&mut self, mut pred: F, budget: u64) -> RunOutcome
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
-        self.run_until_dyn(&mut pred, budget)
-    }
-
-    fn run_until_dyn(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        budget: u64,
-    ) -> RunOutcome {
-        let mut done = 0u64;
-        loop {
-            let chunk = self.next_chunk(budget - done);
-            let out = match &mut self.inner {
-                ActiveEngine::Batched(sim) => sim.run_until(|c| pred(c), chunk),
-                ActiveEngine::MultiBatch(sim) => sim.run_until(|c| pred(c), chunk),
-                ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
-            };
-            done += out.interactions;
-            self.until_check -= out.interactions;
-            if out.satisfied {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: true,
-                };
-            }
-            if done >= budget {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: false,
-                };
-            }
-        }
-    }
-
-    /// Measures the stabilization time of `pred` with the shared engine
-    /// semantics: [`StabilizationResult::stabilized_at`] is absolute across
-    /// handoffs, and the run stops early once the predicate has held for
-    /// `opts.confirm_window` consecutive interactions (`opts.check_every` is
-    /// ignored, as for the count engines).
-    ///
-    /// Internally this alternates a *seek* phase (`run_until(pred)`) and a
-    /// *confirm* phase (`run_until(!pred)` capped by the window), so both
-    /// phases run under whichever engine the activity measurements favor —
-    /// e.g. the long silent confirmation window of a stabilized protocol is
-    /// consumed by the batched engine's geometric skipping even if the
-    /// pre-stabilization phase ran multi-batch.
-    pub fn measure_stabilization<F>(
-        &mut self,
-        mut pred: F,
-        opts: StabilizationOptions,
-    ) -> StabilizationResult
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
-        self.measure_stabilization_dyn(&mut pred, opts)
-    }
-
-    fn measure_stabilization_dyn(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        opts: StabilizationOptions,
-    ) -> StabilizationResult {
-        let n = self.counts().population() as usize;
-        let start = self.interactions();
-        let mut detector = StabilizationDetector::new();
-        let mut executed = 0u64;
-        loop {
-            // Seek: run until the predicate is first observed true.
-            let out = self.run_until_dyn(pred, opts.budget - executed);
-            executed += out.interactions;
-            if !out.satisfied {
-                detector.observe(start + executed, false);
-                break;
-            }
-            let candidate = start + executed;
-            detector.observe(candidate, true);
-            // Confirm: run until the predicate is observed violated, for at
-            // most the remaining confirmation window.
-            let window = opts.confirm_window.min(opts.budget - executed);
-            let violated = self.run_until_dyn(&mut |c| !pred(c), window);
-            executed += violated.interactions;
-            if violated.satisfied {
-                detector.observe(start + executed, false);
-                if executed >= opts.budget {
-                    break;
-                }
-                continue;
-            }
-            // Held through the window (or to the end of the budget).
-            detector.observe(start + executed, true);
-            break;
-        }
-        StabilizationResult {
-            interactions: executed,
-            stabilized_at: detector.stabilized_at(),
-            n,
-        }
-    }
 }
 
 impl<P: EnumerableProtocol> SimulationEngine<P> for AdaptiveSimulation<P> {
     fn protocol(&self) -> &P {
-        AdaptiveSimulation::protocol(self)
+        on_active!(&self.inner, sim => sim.protocol())
     }
     fn counts(&self) -> &CountConfiguration {
-        AdaptiveSimulation::counts(self)
+        on_active!(&self.inner, sim => sim.counts())
     }
     fn to_configuration(&self) -> Configuration<P::State> {
         self.counts().to_configuration(self.protocol())
     }
+    /// Absolute across handoffs (retired engines' interactions included).
     fn interactions(&self) -> u64 {
-        AdaptiveSimulation::interactions(self)
+        self.base_interactions + on_active!(&self.inner, sim => sim.interactions())
     }
     fn predicate_granularity(&self) -> PredicateGranularity {
-        match &self.inner {
-            ActiveEngine::Batched(_) => PredicateGranularity::Interaction,
-            ActiveEngine::MultiBatch(sim) => PredicateGranularity::EpochCommit {
-                expected_interactions: expected_epoch_length(sim.counts().population()),
-            },
-            ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
+        on_active!(&self.inner, sim => sim.predicate_granularity())
+    }
+
+    /// Runs the activity check if its interval elapsed — possibly handing
+    /// off — then advances the active engine, capped at the next check. A
+    /// stall consumes the rest of `cap` at once: a frozen configuration
+    /// cannot cross the band, so no further check is needed.
+    fn advance(&mut self, cap: u64) -> Advance {
+        if self.until_check == 0 {
+            // The check is not part of either engine's run span.
+            self.end_run(0);
+            self.maybe_switch();
+            self.until_check = self.config.check_interval;
         }
+        let chunk = cap.min(self.until_check);
+        let mut step = on_active!(&mut self.inner, sim => sim.advance(chunk));
+        self.until_check -= step.executed;
+        if step.stalled && chunk < cap {
+            step.executed += on_active!(&mut self.inner, sim => sim.advance(cap - chunk)).executed;
+        }
+        step
     }
-    fn run(&mut self, budget: u64) -> u64 {
-        AdaptiveSimulation::run(self, budget)
-    }
-    fn run_until(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        budget: u64,
-    ) -> RunOutcome {
-        self.run_until_dyn(pred, budget)
-    }
-    fn measure_stabilization(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        opts: StabilizationOptions,
-    ) -> StabilizationResult {
-        self.measure_stabilization_dyn(pred, opts)
+    fn end_run(&mut self, checks: u64) {
+        on_active!(&mut self.inner, sim => sim.end_run(checks));
     }
 }
 
@@ -1188,7 +881,6 @@ pub struct SimBuilder<P: EnumerableProtocol> {
     seed: u64,
     kind: EngineKind,
     init: BuilderInit<P::State>,
-    check_every: u64,
     adaptive: AdaptiveConfig,
     telemetry: Telemetry,
 }
@@ -1202,7 +894,6 @@ impl<P: EnumerableProtocol + 'static> SimBuilder<P> {
             seed: 0,
             kind: EngineKind::Auto,
             init: BuilderInit::Clean,
-            check_every: 1,
             adaptive: AdaptiveConfig::default(),
             telemetry: Telemetry::disabled(),
         }
@@ -1231,13 +922,6 @@ impl<P: EnumerableProtocol + 'static> SimBuilder<P> {
     /// per-agent form if the per-step engine is selected).
     pub fn counts(mut self, counts: CountConfiguration) -> Self {
         self.init = BuilderInit::Counts(counts);
-        self
-    }
-
-    /// Sets the per-step engine's predicate check stride (ignored by the
-    /// other tiers; see [`PredicateGranularity::Every`]).
-    pub fn check_every(mut self, every: u64) -> Self {
-        self.check_every = every.max(1);
         self
     }
 
@@ -1303,15 +987,13 @@ impl<P: EnumerableProtocol + 'static> SimBuilder<P> {
             seed,
             kind,
             init,
-            check_every,
             adaptive,
             telemetry,
         } = self;
         match kind {
             EngineKind::PerStep => {
                 let config = Self::per_agent_config(&protocol, init);
-                let mut sim =
-                    PerStepEngine::new(protocol, config, seed).with_check_every(check_every);
+                let mut sim = PerStepEngine::new(protocol, config, seed);
                 sim.set_telemetry(telemetry);
                 Box::new(sim)
             }
@@ -1414,7 +1096,7 @@ mod tests {
         // The builder must not perturb RNG streams: a `Batched` build from a
         // clean init is the same run as `BatchSimulation::clean`.
         let mut direct = BatchSimulation::clean(OneWayEpidemic::new(256, 1), 42);
-        let direct_out = direct.run_until(|c| c.count(INFORMED) == c.population(), u64::MAX);
+        let direct_out = direct.run_until(&mut |c| c.count(INFORMED) == c.population(), u64::MAX);
         let mut built = SimBuilder::new(OneWayEpidemic::new(256, 1))
             .kind(EngineKind::Batched)
             .seed(42)
@@ -1423,7 +1105,7 @@ mod tests {
         assert_eq!(direct_out.interactions, built_out.interactions);
 
         let mut direct = MultiBatchSimulation::clean(OneWayEpidemic::new(256, 1), 42);
-        let direct_out = direct.run_until(|c| c.count(INFORMED) == c.population(), u64::MAX);
+        let direct_out = direct.run_until(&mut |c| c.count(INFORMED) == c.population(), u64::MAX);
         let mut built = SimBuilder::new(OneWayEpidemic::new(256, 1))
             .kind(EngineKind::MultiBatch)
             .seed(42)
@@ -1441,7 +1123,7 @@ mod tests {
         let bare_out = bare.run_until(|c| c.iter().all(|s| *s), u64::MAX);
 
         let mut mirrored = PerStepEngine::clean(OneWayEpidemic::new(128, 1), 11);
-        let out = mirrored.run_until(informed_everywhere, u64::MAX);
+        let out = mirrored.run_until(&mut informed_everywhere, u64::MAX);
         assert_eq!(out.interactions, bare_out.interactions);
         assert_eq!(mirrored.counts().count(INFORMED), 128);
     }
@@ -1460,19 +1142,6 @@ mod tests {
     }
 
     #[test]
-    fn per_step_check_every_rounds_hitting_times_up() {
-        let exact = PerStepEngine::clean(OneWayEpidemic::new(64, 1), 3)
-            .run_until(informed_everywhere, u64::MAX);
-        let coarse = PerStepEngine::clean(OneWayEpidemic::new(64, 1), 3)
-            .with_check_every(100)
-            .run_until(informed_everywhere, u64::MAX);
-        assert!(coarse.satisfied);
-        assert!(coarse.interactions >= exact.interactions);
-        assert!(coarse.interactions < exact.interactions + 100);
-        assert_eq!(coarse.interactions % 100, 0);
-    }
-
-    #[test]
     fn granularities_match_the_documented_table() {
         let batched = SimBuilder::new(OneWayEpidemic::new(64, 1))
             .kind(EngineKind::Batched)
@@ -1483,11 +1152,10 @@ mod tests {
         );
         let per_step = SimBuilder::new(OneWayEpidemic::new(64, 1))
             .kind(EngineKind::PerStep)
-            .check_every(32)
             .build();
         assert_eq!(
             per_step.predicate_granularity(),
-            PredicateGranularity::Every(32)
+            PredicateGranularity::Interaction
         );
         let multibatch = SimBuilder::new(OneWayEpidemic::new(10_000, 1))
             .kind(EngineKind::MultiBatch)
@@ -1526,7 +1194,7 @@ mod tests {
             switchy(),
         );
         assert_eq!(sim.current_kind(), EngineKind::Batched, "sparse start");
-        let out = sim.run_until(informed_everywhere, u64::MAX);
+        let out = sim.run_until(&mut informed_everywhere, u64::MAX);
         assert!(out.satisfied);
         assert_eq!(sim.counts().count(INFORMED), 256);
         assert!(
@@ -1560,7 +1228,7 @@ mod tests {
             .seed(7)
             .adaptive_config(switchy())
             .build_adaptive();
-        let out = sim.run_until(|c| c.count(INFORMED) == c.population(), u64::MAX);
+        let out = sim.run_until(&mut |c| c.count(INFORMED) == c.population(), u64::MAX);
         assert!(out.satisfied);
         assert!(
             sim.handoffs() >= 2,
@@ -1642,7 +1310,7 @@ mod tests {
                 .seed(seed)
                 .adaptive_config(switchy())
                 .build_adaptive();
-            let out = sim.run_until(informed_everywhere, u64::MAX);
+            let out = sim.run_until(&mut informed_everywhere, u64::MAX);
             (out.interactions, sim.handoffs(), sim.counts().clone())
         };
         assert_eq!(run(11), run(11));
@@ -1659,7 +1327,7 @@ mod tests {
         sim.run(warm_up);
         assert!(sim.handoffs() >= 1, "warm-up must cross the high threshold");
         let opts = StabilizationOptions::new(256, u64::MAX / 2).confirm_window(5_000);
-        let res = sim.measure_stabilization(informed_everywhere, opts);
+        let res = sim.measure_stabilization(&mut informed_everywhere, opts);
         assert!(res.stabilized());
         let t = res.stabilized_at.unwrap();
         // The epidemic needs ≥ n - 1 informing interactions and the sparse
@@ -1678,7 +1346,7 @@ mod tests {
         let mut sim = AdaptiveSimulation::clean(TwoWayEpidemic::new(32, 32), 1);
         assert_eq!(sim.current_kind(), EngineKind::Batched);
         let opts = StabilizationOptions::new(32, u64::MAX / 2).confirm_window(1_000);
-        let res = sim.measure_stabilization(informed_everywhere, opts);
+        let res = sim.measure_stabilization(&mut informed_everywhere, opts);
         assert!(res.stabilized());
         assert_eq!(res.stabilized_at, Some(0));
         assert!(res.interactions <= 1_000);
@@ -1687,7 +1355,7 @@ mod tests {
     #[test]
     fn adaptive_run_until_budget_exhaustion_reports_unsatisfied() {
         let mut sim = AdaptiveSimulation::clean(OneWayEpidemic::new(64, 1), 5);
-        let out = sim.run_until(informed_everywhere, 10);
+        let out = sim.run_until(&mut informed_everywhere, 10);
         assert!(!out.satisfied);
         assert_eq!(out.interactions, 10);
     }

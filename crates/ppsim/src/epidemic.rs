@@ -5,14 +5,12 @@
 //! `c_epi · n · log n` interactions w.h.p. with `c_epi < 7`). This module
 //! implements the one-way and two-way epidemic protocols directly so the
 //! constant can be measured (experiment E8), and exposes
-//! [`measure_epidemic_time`] as a reusable helper.
+//! [`measure_epidemic_time_with`] as a reusable helper.
 
-use crate::configuration::Configuration;
-use crate::engine::{EngineKind, PerStepEngine, SimBuilder};
+use crate::engine::{EngineKind, SimBuilder};
 use crate::enumerable::EnumerableProtocol;
 use crate::indexer::SupportEnumerable;
 use crate::protocol::{AgentId, CleanInit, InteractionCtx, Protocol};
-use crate::simulation::Simulation;
 
 /// State index of an uninformed agent under the epidemics'
 /// [`EnumerableProtocol`] enumeration.
@@ -175,29 +173,16 @@ impl SupportEnumerable for TwoWayEpidemic {
     }
 }
 
-/// Runs one epidemic to completion and returns the number of interactions it
-/// took for every agent to become informed.
-///
-/// Returns `None` if the epidemic did not complete within `budget`
-/// interactions (which indicates a far-too-small budget: completion is
-/// guaranteed with probability 1).
-pub fn measure_epidemic_time<P>(protocol: P, seed: u64, budget: u64) -> Option<u64>
-where
-    P: Protocol<State = bool> + CleanInit,
-{
-    let config = Configuration::clean(&protocol);
-    let mut sim = Simulation::new(protocol, config, seed);
-    let out = sim.run_until(|c| c.all(|s| *s), budget);
-    out.satisfied.then_some(out.interactions)
-}
-
 /// Runs one epidemic to completion under the chosen engine tier through the
-/// unified [`crate::engine`] API and returns the completion interaction
-/// count, or `None` if the epidemic did not complete within `budget`.
+/// unified [`crate::engine`] API and returns the number of interactions it
+/// took for every agent to become informed, or `None` if the epidemic did
+/// not complete within `budget` (which indicates a far-too-small budget:
+/// completion is guaranteed with probability 1).
 ///
-/// The engines draw randomness differently, so for equal seeds the returned
-/// times are different samples of the same distribution, and each engine
-/// observes completion at its own
+/// [`EngineKind::PerStep`] draws the same RNG stream as a bare
+/// [`crate::Simulation`] with the same seed. The engines draw randomness
+/// differently, so for equal seeds the returned times are different samples
+/// of the same distribution, and each engine observes completion at its own
 /// [`crate::engine::SimulationEngine::predicate_granularity`] (exact for
 /// per-step and batched, up to one `O(√n)` epoch late for multi-batch).
 pub fn measure_epidemic_time_with<P>(
@@ -212,47 +197,6 @@ where
     let mut sim = SimBuilder::new(protocol).kind(kind).seed(seed).build();
     let out = sim.run_until(&mut |c| c.count(INFORMED) == c.population(), budget);
     out.satisfied.then_some(out.interactions)
-}
-
-/// Like [`measure_epidemic_time`], but checking completion only every
-/// `check_every` interactions: the returned time is rounded up to the next
-/// check, so it overshoots the true completion by less than `check_every` —
-/// the [`crate::engine::PredicateGranularity::Every`] contract, served by
-/// the per-step engine's count mirror ([`PerStepEngine`]).
-pub fn measure_epidemic_time_coarse<P>(
-    protocol: P,
-    seed: u64,
-    budget: u64,
-    check_every: u64,
-) -> Option<u64>
-where
-    P: EnumerableProtocol<State = bool> + CleanInit,
-{
-    let mut sim = PerStepEngine::clean(protocol, seed).with_check_every(check_every);
-    let out = sim.run_until(|c| c.count(INFORMED) == c.population(), budget);
-    out.satisfied.then_some(out.interactions)
-}
-
-/// Like [`measure_epidemic_time`], but under the batched count-based engine
-/// ([`crate::BatchSimulation`]) — the variant to use for large populations
-/// (`n ≥ 10⁵`) once silence dominates. Equivalent to
-/// [`measure_epidemic_time_with`] at [`EngineKind::Batched`].
-pub fn measure_epidemic_time_batched<P>(protocol: P, seed: u64, budget: u64) -> Option<u64>
-where
-    P: EnumerableProtocol<State = bool> + CleanInit + 'static,
-{
-    measure_epidemic_time_with(protocol, EngineKind::Batched, seed, budget)
-}
-
-/// Like [`measure_epidemic_time`], but under the multi-batch collision
-/// sampler engine ([`crate::MultiBatchSimulation`]) — the fastest tier while
-/// the epidemic is *dense*. Equivalent to [`measure_epidemic_time_with`] at
-/// [`EngineKind::MultiBatch`].
-pub fn measure_epidemic_time_multibatch<P>(protocol: P, seed: u64, budget: u64) -> Option<u64>
-where
-    P: EnumerableProtocol<State = bool> + CleanInit + 'static,
-{
-    measure_epidemic_time_with(protocol, EngineKind::MultiBatch, seed, budget)
 }
 
 /// The empirical epidemic constant: completion interactions divided by
@@ -294,8 +238,13 @@ mod tests {
     #[test]
     fn one_way_epidemic_completes_in_reasonable_time() {
         let n = 128;
-        let t = measure_epidemic_time(OneWayEpidemic::new(n, 1), 42, 10_000_000)
-            .expect("epidemic should complete");
+        let t = measure_epidemic_time_with(
+            OneWayEpidemic::new(n, 1),
+            EngineKind::PerStep,
+            42,
+            10_000_000,
+        )
+        .expect("epidemic should complete");
         // Lemma A.2: completion within c_epi * n log n with c_epi < 7;
         // allow generous slack for a single trial.
         assert!(
@@ -314,11 +263,21 @@ mod tests {
             (0..trials)
                 .map(|i| {
                     if two_way {
-                        measure_epidemic_time(TwoWayEpidemic::new(n, 1), 100 + i, 10_000_000)
-                            .unwrap() as f64
+                        measure_epidemic_time_with(
+                            TwoWayEpidemic::new(n, 1),
+                            EngineKind::PerStep,
+                            100 + i,
+                            10_000_000,
+                        )
+                        .unwrap() as f64
                     } else {
-                        measure_epidemic_time(OneWayEpidemic::new(n, 1), 100 + i, 10_000_000)
-                            .unwrap() as f64
+                        measure_epidemic_time_with(
+                            OneWayEpidemic::new(n, 1),
+                            EngineKind::PerStep,
+                            100 + i,
+                            10_000_000,
+                        )
+                        .unwrap() as f64
                     }
                 })
                 .sum::<f64>()
@@ -334,27 +293,18 @@ mod tests {
         let avg = |sources: usize| -> f64 {
             (0..trials)
                 .map(|i| {
-                    measure_epidemic_time(OneWayEpidemic::new(n, sources), 7 + i, 10_000_000)
-                        .unwrap() as f64
+                    measure_epidemic_time_with(
+                        OneWayEpidemic::new(n, sources),
+                        EngineKind::PerStep,
+                        7 + i,
+                        10_000_000,
+                    )
+                    .unwrap() as f64
                 })
                 .sum::<f64>()
                 / trials as f64
         };
         assert!(avg(n / 2) < avg(1));
-    }
-
-    #[test]
-    fn coarse_measurement_overshoots_by_less_than_the_check_interval() {
-        let n = 64;
-        for seed in 0..5 {
-            let exact = measure_epidemic_time(OneWayEpidemic::new(n, 1), seed, u64::MAX).unwrap();
-            let coarse =
-                measure_epidemic_time_coarse(OneWayEpidemic::new(n, 1), seed, u64::MAX, 100)
-                    .unwrap();
-            assert!(coarse >= exact, "coarse {coarse} below exact {exact}");
-            assert!(coarse < exact + 100);
-            assert_eq!(coarse % 100, 0, "completion reported at a check");
-        }
     }
 
     #[test]
@@ -365,11 +315,21 @@ mod tests {
             (0..trials)
                 .map(|i| {
                     if batched {
-                        measure_epidemic_time_batched(OneWayEpidemic::new(n, 1), 30 + i, u64::MAX)
-                            .unwrap() as f64
+                        measure_epidemic_time_with(
+                            OneWayEpidemic::new(n, 1),
+                            EngineKind::Batched,
+                            30 + i,
+                            u64::MAX,
+                        )
+                        .unwrap() as f64
                     } else {
-                        measure_epidemic_time(OneWayEpidemic::new(n, 1), 30 + i, u64::MAX).unwrap()
-                            as f64
+                        measure_epidemic_time_with(
+                            OneWayEpidemic::new(n, 1),
+                            EngineKind::PerStep,
+                            30 + i,
+                            u64::MAX,
+                        )
+                        .unwrap() as f64
                     }
                 })
                 .sum::<f64>()
@@ -392,15 +352,21 @@ mod tests {
             (0..trials)
                 .map(|i| {
                     if multibatch {
-                        measure_epidemic_time_multibatch(
+                        measure_epidemic_time_with(
                             OneWayEpidemic::new(n, 1),
+                            EngineKind::MultiBatch,
                             30 + i,
                             u64::MAX,
                         )
                         .unwrap() as f64
                     } else {
-                        measure_epidemic_time(OneWayEpidemic::new(n, 1), 30 + i, u64::MAX).unwrap()
-                            as f64
+                        measure_epidemic_time_with(
+                            OneWayEpidemic::new(n, 1),
+                            EngineKind::PerStep,
+                            30 + i,
+                            u64::MAX,
+                        )
+                        .unwrap() as f64
                     }
                 })
                 .sum::<f64>()
@@ -416,7 +382,7 @@ mod tests {
     #[test]
     fn multibatch_insufficient_budget_returns_none() {
         assert_eq!(
-            measure_epidemic_time_multibatch(TwoWayEpidemic::new(64, 1), 0, 5),
+            measure_epidemic_time_with(TwoWayEpidemic::new(64, 1), EngineKind::MultiBatch, 0, 5),
             None
         );
     }
@@ -424,7 +390,7 @@ mod tests {
     #[test]
     fn batched_insufficient_budget_returns_none() {
         assert_eq!(
-            measure_epidemic_time_batched(TwoWayEpidemic::new(64, 1), 0, 5),
+            measure_epidemic_time_with(TwoWayEpidemic::new(64, 1), EngineKind::Batched, 0, 5),
             None
         );
     }
@@ -438,7 +404,7 @@ mod tests {
     #[test]
     fn insufficient_budget_returns_none() {
         assert_eq!(
-            measure_epidemic_time(OneWayEpidemic::new(64, 1), 0, 5),
+            measure_epidemic_time_with(OneWayEpidemic::new(64, 1), EngineKind::PerStep, 0, 5),
             None
         );
     }

@@ -30,9 +30,9 @@
 //!
 //! Parallelism here is *across* trials; each trial's engine still runs
 //! sequentially with its own RNG stream, so per-trial measurements (and
-//! their predicate-granularity caveats — `check_every` quantizes observed
-//! stabilization times regardless of threading) are exactly what a lone
-//! [`crate::SimBuilder`] run would produce.
+//! their predicate-granularity caveats — multi-batch epochs quantize
+//! observed stabilization times regardless of threading) are exactly what a
+//! lone [`crate::SimBuilder`] run would produce.
 
 use rayon::prelude::*;
 use serde::Serialize;

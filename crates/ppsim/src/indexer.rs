@@ -321,7 +321,7 @@ impl<S: Hash + Eq + Clone> Interner<S> {
 /// ```
 /// use ppsim::epidemic::OneWayEpidemic;
 /// use ppsim::indexer::DiscoveredProtocol;
-/// use ppsim::{BatchSimulation, CountConfiguration};
+/// use ppsim::{BatchSimulation, CountConfiguration, SimulationEngine};
 ///
 /// // Epidemics implement `SupportEnumerable` (silence on the state level),
 /// // so they can run under the adapter — no up-front enumeration involved.
@@ -330,10 +330,10 @@ impl<S: Hash + Eq + Clone> Interner<S> {
 /// let discovered = DiscoveredProtocol::new(OneWayEpidemic::new(256, 1));
 /// let handle = discovered.clone();
 /// let mut sim = BatchSimulation::clean(discovered, 7);
-/// let everyone_informed = |c: &CountConfiguration| {
+/// let mut everyone_informed = |c: &CountConfiguration| {
 ///     (0..c.num_states()).all(|i| c.count(i) == 0 || handle.peek(i, |s| *s))
 /// };
-/// let out = sim.run_until(everyone_informed, u64::MAX);
+/// let out = sim.run_until(&mut everyone_informed, u64::MAX);
 /// assert!(out.satisfied);
 /// ```
 pub struct DiscoveredProtocol<P: SupportEnumerable>
@@ -576,7 +576,7 @@ where
 mod tests {
     use super::*;
     use crate::protocol::{AgentId, CleanInit};
-    use crate::{BatchSimulation, Configuration, SimRng};
+    use crate::{BatchSimulation, Configuration, SimRng, SimulationEngine};
 
     /// One-way epidemic on `bool` states, with state-level silence.
     struct Spread(usize);
@@ -794,7 +794,7 @@ mod tests {
     fn discovered_epidemic_completes_under_the_batched_engine() {
         let p = DiscoveredProtocol::new(Spread(128));
         let mut sim = BatchSimulation::clean(p, 11);
-        let out = sim.run_until(|c| c.count(0) == c.population(), u64::MAX);
+        let out = sim.run_until(&mut |c| c.count(0) == c.population(), u64::MAX);
         assert!(out.satisfied);
         // Exactly n - 1 informing interactions, as for the enumerated engine.
         assert_eq!(sim.active_interactions(), 127);
@@ -809,8 +809,8 @@ mod tests {
         let config = Configuration::uniform(64, true);
         let mut sim = BatchSimulation::from_configuration(p, &config, 3);
         // All-true is fully silent: every pair maps to itself.
-        let active = sim.run(10_000);
-        assert_eq!(active, 0);
+        sim.run(10_000);
+        assert_eq!(sim.active_interactions(), 0);
     }
 
     /// A deterministic counter protocol over a state wrapping a `u32` (read

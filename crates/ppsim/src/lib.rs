@@ -15,8 +15,9 @@
 //! * [`Configuration`] — a population state vector with predicate helpers,
 //! * [`scheduler`] — the uniformly random scheduler and a scripted scheduler
 //!   for reachability-style unit tests,
-//! * [`Simulation`] — the per-agent run loop, with stop conditions and
-//!   stabilization detection ([`convergence`]),
+//! * [`Simulation`] — the per-agent engine, with stop conditions and
+//!   stabilization detection ([`convergence`]: the one run loop every engine
+//!   shares),
 //! * [`BatchSimulation`] — the batched count-based engine for protocols with
 //!   an enumerable state space ([`EnumerableProtocol`],
 //!   [`CountConfiguration`]): silent interaction runs are sampled
@@ -120,7 +121,7 @@ pub use adversary::AdversarialInit;
 pub use batched::BatchSimulation;
 pub use coin::SyntheticCoin;
 pub use configuration::Configuration;
-pub use convergence::{StabilizationDetector, StabilizationResult};
+pub use convergence::{Advance, StabilizationResult};
 pub use count_config::{CountConfiguration, MAX_POPULATION};
 pub use digest::{fnv1a_64, Fnv64};
 pub use engine::{

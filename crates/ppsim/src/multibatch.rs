@@ -42,20 +42,21 @@
 //! of them change state — the complementary trade to the batched engine,
 //! which skips silence for free but pays for every change. The price is that
 //! silence is **not** skipped: a nearly frozen configuration still costs one
-//! epoch per `Θ(√n)` interactions (and the engine cannot detect a stalled
-//! configuration), and predicates are only observable at epoch commits, so
-//! hitting times carry `O(√n)` granularity.
+//! epoch per `Θ(√n)` interactions (and the engine never reports a stall, so
+//! pair an unreachable predicate with a finite budget), and predicates are
+//! only observable at epoch commits, so hitting times carry `O(√n)`
+//! granularity.
 
 use crate::batched::sample_support;
 use crate::configuration::Configuration;
-use crate::convergence::{StabilizationDetector, StabilizationResult};
+use crate::convergence::Advance;
 use crate::count_config::{validate_engine_inputs, CountConfiguration};
+use crate::engine::{expected_epoch_length, PredicateGranularity, SimulationEngine};
 use crate::enumerable::EnumerableProtocol;
 use crate::error::SimError;
 use crate::protocol::{CleanInit, InteractionCtx};
 use crate::rng::{uniform_below, uniform_below_u128, SimRng};
-use crate::simulation::{RunOutcome, StabilizationOptions};
-use crate::telemetry::{Counter, SpanKind, Telemetry};
+use crate::telemetry::{Counter, SpanGuard, SpanKind, Telemetry};
 use rand::distributions::{hypergeometric_split, multinomial_split};
 use rand::RngCore;
 use std::cell::RefCell;
@@ -161,8 +162,8 @@ fn draw_from_multiset(rng: &mut SimRng, entries: &[(usize, u64)], total: u64) ->
 /// A population-protocol execution resolving whole collision-bounded batches
 /// of interactions per statistical draw.
 ///
-/// Same `run_until` / [`MultiBatchSimulation::measure_stabilization`]
-/// surface as [`crate::BatchSimulation`] and usable with the same protocols
+/// Same [`SimulationEngine`] surface as [`crate::BatchSimulation`] and
+/// usable with the same protocols
 /// — statically enumerated ([`EnumerableProtocol`]) or dynamically
 /// discovered ([`crate::indexer::DiscoveredProtocol`]). Prefer it when most
 /// interactions change state; prefer the batched engine when silence
@@ -180,6 +181,9 @@ pub struct MultiBatchSimulation<P: EnumerableProtocol> {
     /// Observability handle; disabled by default, in which case every probe
     /// is an early-out on a `None` and the RNG stream is untouched.
     telemetry: Telemetry,
+    /// The `multibatch.run` span of the current run call: opened by its
+    /// first advance, closed when the run loop ends.
+    span: Option<SpanGuard>,
 }
 
 impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
@@ -212,6 +216,7 @@ impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
             epochs: 0,
             ln_collision_survival,
             telemetry: Telemetry::disabled(),
+            span: None,
         })
     }
 
@@ -262,37 +267,10 @@ impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
         Self::new(protocol, counts, seed)
     }
 
-    /// The protocol being simulated.
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
-    /// The current configuration, as state counts.
-    pub fn counts(&self) -> &CountConfiguration {
-        &self.counts
-    }
-
-    /// Materializes the current configuration per agent (ordered by state
-    /// index; agents are anonymous).
-    pub fn to_configuration(&self) -> Configuration<P::State> {
-        self.counts.to_configuration(&self.protocol)
-    }
-
-    /// Number of interactions executed (all of them — the multi-batch engine
-    /// resolves every interaction, silent ones included).
-    pub fn interactions(&self) -> u64 {
-        self.interactions
-    }
-
     /// Number of epochs (batches) executed — the quantity the engine's
     /// running time is proportional to, each covering `Θ(√n)` interactions.
     pub fn epochs(&self) -> u64 {
         self.epochs
-    }
-
-    /// Parallel time elapsed so far (interactions divided by `n`).
-    pub fn parallel_time(&self) -> f64 {
-        self.interactions as f64 / self.counts.population() as f64
     }
 
     /// Decomposes the simulation into its protocol and current count
@@ -490,96 +468,39 @@ impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
         self.telemetry.count(Counter::MultiBatchEpochs, 1);
         executed
     }
+}
 
-    /// Executes exactly `budget` interactions (in epoch-sized batches) and
-    /// returns the number of epochs this took.
-    pub fn run(&mut self, budget: u64) -> u64 {
-        let _span = self.telemetry.span(SpanKind::MultiBatchRun);
-        let before = self.epochs;
-        let mut done = 0;
-        while done < budget {
-            done += self.advance_epoch(budget - done);
-        }
-        self.epochs - before
+/// The multi-batch engine behind the unified surface: predicates are
+/// observed at epoch commits, and a frozen configuration is never reported
+/// as a stall.
+impl<P: EnumerableProtocol> SimulationEngine<P> for MultiBatchSimulation<P> {
+    fn protocol(&self) -> &P {
+        &self.protocol
     }
-
-    /// Runs until `pred` holds for the current count configuration or
-    /// `budget` interactions have been executed by this call.
-    ///
-    /// The predicate is evaluated at epoch commits only — the interactions
-    /// inside an epoch have no defined intermediate order — so the reported
-    /// (relative) [`RunOutcome::interactions`] may overshoot the true hitting
-    /// time by up to one epoch, `O(√n)` interactions. Unlike
-    /// [`crate::BatchSimulation::run_until`], a frozen configuration is not
-    /// detected: the engine keeps resolving (silent) epochs until the budget
-    /// is spent, so pair an unreachable predicate with a finite budget.
-    pub fn run_until<F>(&mut self, mut pred: F, budget: u64) -> RunOutcome
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
-        let _span = self.telemetry.span(SpanKind::MultiBatchRun);
-        let mut done = 0;
-        loop {
-            if pred(&self.counts) {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: true,
-                };
-            }
-            if done >= budget {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: false,
-                };
-            }
-            done += self.advance_epoch(budget - done);
+    fn counts(&self) -> &CountConfiguration {
+        &self.counts
+    }
+    fn to_configuration(&self) -> Configuration<P::State> {
+        self.counts.to_configuration(&self.protocol)
+    }
+    fn interactions(&self) -> u64 {
+        self.interactions
+    }
+    fn predicate_granularity(&self) -> PredicateGranularity {
+        PredicateGranularity::EpochCommit {
+            expected_interactions: expected_epoch_length(self.counts.population()),
         }
     }
-
-    /// Measures the stabilization time of the output predicate `pred`, with
-    /// the same semantics as [`crate::Simulation::measure_stabilization`]:
-    /// [`StabilizationResult::stabilized_at`] is an **absolute** interaction
-    /// index, [`StabilizationResult::interactions`] is relative to this
-    /// call. The run stops early once the predicate has held for
-    /// `opts.confirm_window` consecutive interactions.
-    ///
-    /// `opts.check_every` is ignored: the predicate is evaluated at every
-    /// epoch commit, which already carries the engine's intrinsic `O(√n)`
-    /// observation granularity.
-    pub fn measure_stabilization<F>(
-        &mut self,
-        mut pred: F,
-        opts: StabilizationOptions,
-    ) -> StabilizationResult
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
-        let _span = self.telemetry.span(SpanKind::MultiBatchRun);
-        let n = self.counts.population() as usize;
-        let start = self.interactions;
-        let mut detector = StabilizationDetector::new();
-        detector.observe(start, pred(&self.counts));
-        let mut executed = 0u64;
-        while executed < opts.budget {
-            let now = start + executed;
-            let mut cap = opts.budget - executed;
-            if detector.satisfied_now() {
-                let held = detector.consecutive(now);
-                if held >= opts.confirm_window {
-                    break;
-                }
-                // No need to simulate past the end of the confirmation
-                // window (epoch truncation is exact, see `advance_epoch`).
-                cap = cap.min(opts.confirm_window - held);
-            }
-            executed += self.advance_epoch(cap);
-            detector.observe(start + executed, pred(&self.counts));
+    fn advance(&mut self, cap: u64) -> Advance {
+        self.span
+            .get_or_insert_with(|| self.telemetry.span(SpanKind::MultiBatchRun));
+        Advance {
+            executed: self.advance_epoch(cap),
+            stalled: false,
         }
-        StabilizationResult {
-            interactions: executed,
-            stabilized_at: detector.stabilized_at(),
-            n,
-        }
+    }
+    fn end_run(&mut self, _checks: u64) {
+        self.span = None;
     }
 }
 
@@ -588,6 +509,7 @@ mod tests {
     use super::*;
     use crate::epidemic::{OneWayEpidemic, TwoWayEpidemic, INFORMED};
     use crate::protocol::{AgentId, Protocol};
+    use crate::simulation::StabilizationOptions;
 
     #[test]
     fn survival_table_is_descending_and_anchored() {
@@ -661,7 +583,7 @@ mod tests {
     fn multibatch_epidemic_reaches_everyone() {
         let p = OneWayEpidemic::new(256, 1);
         let mut sim = MultiBatchSimulation::clean(p, 7);
-        let out = sim.run_until(|c| c.count(INFORMED) == c.population(), 10_000_000);
+        let out = sim.run_until(&mut |c| c.count(INFORMED) == c.population(), 10_000_000);
         assert!(out.satisfied);
         assert_eq!(sim.counts().count(INFORMED), 256);
         assert_eq!(sim.counts().count(0), 0);
@@ -682,8 +604,8 @@ mod tests {
         // multi-batch engine resolves (and counts) all of them.
         let p = TwoWayEpidemic::new(64, 64);
         let mut sim = MultiBatchSimulation::clean(p, 3);
-        let epochs = sim.run(100_000);
-        assert!(epochs > 0);
+        assert_eq!(sim.run(100_000), 100_000);
+        assert!(sim.epochs() > 0);
         assert_eq!(sim.interactions(), 100_000);
         assert_eq!(sim.counts().count(INFORMED), 64);
     }
@@ -703,7 +625,7 @@ mod tests {
     fn run_until_budget_exhaustion_reports_unsatisfied() {
         let p = OneWayEpidemic::new(64, 1);
         let mut sim = MultiBatchSimulation::clean(p, 5);
-        let out = sim.run_until(|c| c.count(INFORMED) == c.population(), 10);
+        let out = sim.run_until(&mut |c| c.count(INFORMED) == c.population(), 10);
         assert!(!out.satisfied);
         assert_eq!(out.interactions, 10);
     }
@@ -713,7 +635,7 @@ mod tests {
         let run = |seed: u64| {
             let p = OneWayEpidemic::new(128, 1);
             let mut sim = MultiBatchSimulation::clean(p, seed);
-            let out = sim.run_until(|c| c.count(INFORMED) == c.population(), 10_000_000);
+            let out = sim.run_until(&mut |c| c.count(INFORMED) == c.population(), 10_000_000);
             (out.interactions, sim.epochs(), sim.counts().clone())
         };
         assert_eq!(run(11), run(11));
@@ -725,7 +647,7 @@ mod tests {
         let p = TwoWayEpidemic::new(128, 1);
         let mut sim = MultiBatchSimulation::clean(p, 3);
         let opts = StabilizationOptions::new(128, 10_000_000).confirm_window(5_000);
-        let res = sim.measure_stabilization(|c| c.count(INFORMED) == c.population(), opts);
+        let res = sim.measure_stabilization(&mut |c| c.count(INFORMED) == c.population(), opts);
         assert!(res.stabilized());
         let t = res.stabilized_at.unwrap();
         assert!(t > 0 && t < 10_000_000);
@@ -738,7 +660,7 @@ mod tests {
         let p = TwoWayEpidemic::new(32, 32);
         let mut sim = MultiBatchSimulation::clean(p, 1);
         let opts = StabilizationOptions::new(32, 1_000_000).confirm_window(1_000);
-        let res = sim.measure_stabilization(|c| c.count(INFORMED) == c.population(), opts);
+        let res = sim.measure_stabilization(&mut |c| c.count(INFORMED) == c.population(), opts);
         assert!(res.stabilized());
         assert_eq!(res.stabilized_at, Some(0));
         assert!(res.interactions <= 1_000);
@@ -825,7 +747,7 @@ mod tests {
         }
         // The consensus walk eventually absorbs in an all-equal state.
         let out = sim.run_until(
-            |c| c.count(0) == c.population() || c.count(1) == c.population(),
+            &mut |c| c.count(0) == c.population() || c.count(1) == c.population(),
             50_000_000,
         );
         assert!(out.satisfied);

@@ -1,4 +1,4 @@
-//! The simulation run loop.
+//! The per-agent simulation.
 //!
 //! [`Simulation`] owns a protocol instance, a configuration, a scheduler and a
 //! seeded RNG, and executes interactions one at a time. It offers three
@@ -11,17 +11,20 @@
 //! * [`Simulation::measure_stabilization`] — measure the *stabilization time*
 //!   of an output predicate: the first interaction after which the predicate
 //!   held continuously until the end of a confirmation window.
+//!
+//! The loops are the shared ones of [`crate::convergence`], advancing one
+//! [`Simulation::step`] at a time and observing the per-agent configuration.
 
 use crate::configuration::Configuration;
-use crate::convergence::{StabilizationDetector, StabilizationResult};
+use crate::convergence::{self, Advance, Drive, StabilizationResult};
 use crate::metrics::InteractionMetrics;
 use crate::protocol::{InteractionCtx, Protocol};
 use crate::rng::SimRng;
 use crate::scheduler::{OrderedPair, Scheduler, UniformScheduler};
 use serde::Serialize;
 
-/// Outcome of [`Simulation::run_until`] (and of
-/// [`crate::BatchSimulation::run_until`], which shares the convention).
+/// Outcome of [`Simulation::run_until`] and
+/// [`crate::SimulationEngine::run_until`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RunOutcome {
     /// Number of interactions executed **by this call** — a relative count,
@@ -40,10 +43,6 @@ pub struct RunOutcome {
 pub struct StabilizationOptions {
     /// Maximum number of interactions to execute.
     pub budget: u64,
-    /// Evaluate the output predicate every this many interactions. Larger
-    /// values are faster but bound the measurement error of the stabilization
-    /// time by the same amount.
-    pub check_every: u64,
     /// Stop early once the predicate has held continuously for this many
     /// interactions.
     pub confirm_window: u64,
@@ -51,21 +50,14 @@ pub struct StabilizationOptions {
 
 impl StabilizationOptions {
     /// Sensible defaults for a population of size `n`: a budget of
-    /// `budget` interactions, predicate checks every interaction, and a
-    /// confirmation window of `20·n·ln n` interactions.
+    /// `budget` interactions and a confirmation window of `20·n·ln n`
+    /// interactions.
     pub fn new(n: usize, budget: u64) -> Self {
         let nf = n as f64;
         StabilizationOptions {
             budget,
-            check_every: 1,
             confirm_window: (20.0 * nf * nf.ln().max(1.0)).ceil() as u64,
         }
-    }
-
-    /// Sets the predicate check interval.
-    pub fn check_every(mut self, every: u64) -> Self {
-        self.check_every = every.max(1);
-        self
     }
 
     /// Sets the confirmation window.
@@ -181,85 +173,56 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
     /// number actually executed (less than `budget` only if the scheduler ran
     /// out of scripted interactions).
     pub fn run(&mut self, budget: u64) -> u64 {
-        let mut done = 0;
-        while done < budget {
-            if self.step().is_none() {
-                break;
-            }
-            done += 1;
-        }
-        done
+        convergence::run(self, budget)
     }
 
     /// Runs until `pred` holds for the current configuration or `budget`
     /// interactions have been executed by this call.
-    pub fn run_until<F>(&mut self, mut pred: F, budget: u64) -> RunOutcome
+    pub fn run_until<F>(&mut self, pred: F, budget: u64) -> RunOutcome
     where
         F: FnMut(&Configuration<P::State>) -> bool,
     {
-        let mut done = 0;
-        loop {
-            if pred(&self.config) {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: true,
-                };
-            }
-            if done >= budget || self.step().is_none() {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: false,
-                };
-            }
-            done += 1;
-        }
+        convergence::run_until(self, pred, budget)
     }
 
-    /// Measures the stabilization time of the output predicate `pred`.
+    /// Measures the stabilization time of the output predicate `pred`,
+    /// evaluated after every interaction.
     ///
-    /// Runs for at most `opts.budget` interactions, evaluating `pred` every
-    /// `opts.check_every` interactions, and stops early once the predicate
-    /// has held continuously for `opts.confirm_window` interactions. The
-    /// returned [`StabilizationResult::stabilized_at`] is the *absolute*
-    /// interaction index (counted from the construction of the simulation,
-    /// so including any interactions executed before this call) of the first
-    /// check from which the predicate held until the end of the run;
+    /// Runs for at most `opts.budget` interactions and stops early once the
+    /// predicate has held continuously for `opts.confirm_window`
+    /// interactions. The returned [`StabilizationResult::stabilized_at`] is
+    /// the *absolute* interaction index (counted from the construction of the
+    /// simulation, so including any interactions executed before this call)
+    /// from which the predicate held until the end of the run;
     /// [`StabilizationResult::interactions`] is the number executed by this
     /// call alone.
     pub fn measure_stabilization<F>(
         &mut self,
-        mut pred: F,
+        pred: F,
         opts: StabilizationOptions,
     ) -> StabilizationResult
     where
         F: FnMut(&Configuration<P::State>) -> bool,
     {
-        let n = self.config.len();
-        let mut detector = StabilizationDetector::new();
-        // Observations use absolute interaction indices so a measurement on
-        // a warm-started simulation reports stabilization relative to the
-        // simulation's full history, not this call.
-        let start = self.interactions;
-        detector.observe(start, pred(&self.config));
-        let mut executed = 0u64;
-        while executed < opts.budget {
-            if self.step().is_none() {
-                break;
-            }
-            executed += 1;
-            if executed % opts.check_every == 0 {
-                detector.observe(start + executed, pred(&self.config));
-                if detector.consecutive(start + executed) >= opts.confirm_window {
-                    break;
-                }
-            }
-        }
-        // Final check so the detector reflects the end-of-run configuration.
-        detector.observe(start + executed, pred(&self.config));
-        StabilizationResult {
-            interactions: executed,
-            stabilized_at: detector.stabilized_at(),
-            n,
+        convergence::measure_stabilization(self, pred, opts)
+    }
+}
+
+impl<P: Protocol, S: Scheduler> Drive for Simulation<P, S> {
+    type View = Configuration<P::State>;
+    fn view(&self) -> &Configuration<P::State> {
+        &self.config
+    }
+    fn interactions(&self) -> u64 {
+        self.interactions
+    }
+    fn population(&self) -> usize {
+        self.config.len()
+    }
+    fn advance(&mut self, _cap: u64) -> Advance {
+        Advance {
+            executed: u64::from(self.step().is_some()),
+            stalled: false,
         }
     }
 }

@@ -57,8 +57,8 @@ use std::rc::Rc;
 pub enum Counter {
     /// Interactions executed by the per-step engine.
     PerStepInteractions,
-    /// Predicate stride checks performed by the per-step engine
-    /// (`check_every`-grained, see `PredicateGranularity::Every`).
+    /// Predicate evaluations by the run loops on the per-step engine (the
+    /// name predates the removal of the check stride).
     PerStepStrideChecks,
     /// Interactions accounted by the batched engine (silent runs included).
     BatchedInteractions,

@@ -12,7 +12,7 @@
 //! beats both fixed engines' whole-run wall clocks.
 
 use ppsim::epidemic::{OneWayEpidemic, INFORMED};
-use ppsim::{EngineKind, SimBuilder};
+use ppsim::{EngineKind, SimBuilder, SimulationEngine};
 use std::time::Instant;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
     );
     println!("  start in {} mode", sim.current_kind().label());
     let started = Instant::now();
-    let out = sim.run_until(|c| c.count(INFORMED) == c.population(), budget);
+    let out = sim.run_until(&mut |c| c.count(INFORMED) == c.population(), budget);
     let auto_secs = started.elapsed().as_secs_f64();
     assert!(out.satisfied, "epidemic completes");
     println!("  completion interactions = {}", out.interactions);

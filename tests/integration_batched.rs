@@ -23,7 +23,7 @@ use ppsim::simulation::StabilizationOptions;
 use ppsim::stats::ks_distance;
 use ppsim::{
     AdaptiveConfig, BatchSimulation, CountConfiguration, DiscoveredProtocol, EngineKind,
-    MultiBatchSimulation, SimBuilder, Summary, TrialFleet,
+    MultiBatchSimulation, SimBuilder, SimulationEngine, Summary, TrialFleet,
 };
 use ssle_core::{output, ElectLeader};
 
@@ -143,7 +143,7 @@ fn auto_agrees_on_the_completion_time_distribution() {
             .seed(seed)
             .adaptive_config(switchy())
             .build_adaptive();
-        let out = sim.run_until(|c| c.count(1) == c.population(), u64::MAX);
+        let out = sim.run_until(&mut |c| c.count(1) == c.population(), u64::MAX);
         assert!(out.satisfied);
         assert!(
             sim.handoffs() >= 2,
@@ -334,7 +334,7 @@ fn fixed_seed_reproduces_the_exact_trajectory() {
     let run = |seed: u64| -> (u64, u64, CountConfiguration) {
         let protocol = OneWayEpidemic::new(N, 1);
         let mut sim = BatchSimulation::clean(protocol, seed);
-        let out = sim.run_until(|c| c.count(1) == c.population(), u64::MAX);
+        let out = sim.run_until(&mut |c| c.count(1) == c.population(), u64::MAX);
         assert!(out.satisfied);
         (
             out.interactions,
@@ -358,7 +358,7 @@ fn fixed_seed_reproduces_the_exact_trajectory() {
 fn batched_trajectory_snapshot_is_stable() {
     let protocol = OneWayEpidemic::new(256, 1);
     let mut sim = BatchSimulation::clean(protocol, 42);
-    let out = sim.run_until(|c| c.count(1) == c.population(), u64::MAX);
+    let out = sim.run_until(&mut |c| c.count(1) == c.population(), u64::MAX);
     assert!(out.satisfied);
     assert_eq!(sim.counts().counts(), &[0, 256]);
     assert_eq!(sim.active_interactions(), 255);
@@ -370,7 +370,7 @@ fn multibatch_fixed_seed_reproduces_the_exact_trajectory() {
     let run = |seed: u64| -> (u64, u64, CountConfiguration) {
         let protocol = OneWayEpidemic::new(N, 1);
         let mut sim = MultiBatchSimulation::clean(protocol, seed);
-        let out = sim.run_until(|c| c.count(1) == c.population(), u64::MAX);
+        let out = sim.run_until(&mut |c| c.count(1) == c.population(), u64::MAX);
         assert!(out.satisfied);
         (out.interactions, sim.epochs(), sim.counts().clone())
     };
@@ -392,7 +392,7 @@ fn multibatch_fixed_seed_reproduces_the_exact_trajectory() {
 fn multibatch_trajectory_snapshot_is_stable() {
     let protocol = OneWayEpidemic::new(256, 1);
     let mut sim = MultiBatchSimulation::clean(protocol, 42);
-    let out = sim.run_until(|c| c.count(1) == c.population(), u64::MAX);
+    let out = sim.run_until(&mut |c| c.count(1) == c.population(), u64::MAX);
     assert!(out.satisfied);
     assert_eq!(sim.counts().counts(), &[0, 256]);
     assert_eq!(out.interactions, 3_065, "trajectory snapshot moved");
@@ -410,7 +410,7 @@ fn auto_fixed_seed_reproduces_the_exact_trajectory() {
             .seed(seed)
             .adaptive_config(switchy())
             .build_adaptive();
-        let out = sim.run_until(|c| c.count(1) == c.population(), u64::MAX);
+        let out = sim.run_until(&mut |c| c.count(1) == c.population(), u64::MAX);
         assert!(out.satisfied);
         (out.interactions, sim.handoffs(), sim.counts().clone())
     };
@@ -444,7 +444,7 @@ fn auto_handoff_preserves_absolute_interaction_indices() {
     // Warm-started measurement: stabilized_at is absolute (includes the
     // warm-up), within this call's executed range.
     let opts = StabilizationOptions::new(N, u64::MAX / 2).confirm_window(5_000);
-    let res = sim.measure_stabilization(|c| c.count(1) == c.population(), opts);
+    let res = sim.measure_stabilization(&mut |c| c.count(1) == c.population(), opts);
     assert!(res.stabilized());
     let t = res.stabilized_at.unwrap();
     assert!(t > total, "stabilized_at {t} must include the warm-up");

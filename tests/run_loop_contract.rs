@@ -77,13 +77,13 @@ where
     P: EnumerableProtocol<State = bool> + CleanInit + Clone + 'static,
 {
     let mut rows: Vec<Row> = [
-        EngineKind::PerStep,
-        EngineKind::Batched,
-        EngineKind::MultiBatch,
-        EngineKind::Auto,
+        (EngineKind::PerStep, false),
+        (EngineKind::Batched, true),
+        (EngineKind::MultiBatch, false),
+        (EngineKind::Auto, true),
     ]
     .into_iter()
-    .map(|kind| Row {
+    .map(|(kind, detects_stalls)| Row {
         label: kind.label(),
         subject: Box::new(
             SimBuilder::new(protocol.clone())
@@ -91,7 +91,7 @@ where
                 .seed(seed)
                 .build(),
         ) as Box<dyn Subject>,
-        detects_stalls: matches!(kind, EngineKind::Batched | EngineKind::Auto),
+        detects_stalls,
     })
     .collect();
     let config = Configuration::clean(&protocol);
@@ -187,5 +187,63 @@ fn confirm_window_stops_the_run_early() {
             (None, 1_234),
             "{label}"
         );
+    }
+}
+#[test]
+fn a_frozen_configuration_short_circuits_stall_detecting_tiers() {
+    // Every agent informed: no pair can change state again.
+    for Row {
+        label,
+        mut subject,
+        detects_stalls,
+    } in rows(TwoWayEpidemic::new(64, 64), 3)
+    {
+        // The confirmation window is consumed exactly, stall or not.
+        let opts = StabilizationOptions::new(64, u64::MAX).confirm_window(1_000);
+        let res = subject.measure(all_informed, opts);
+        assert_eq!(
+            (res.stabilized_at, res.interactions),
+            (Some(0), 1_000),
+            "{label}"
+        );
+        if detects_stalls {
+            // An unreachable predicate returns at once with the whole budget
+            // consumed as silence — including from a warm start, where the
+            // budget is clamped to keep the absolute index in range.
+            let out = subject.run_until(|informed, _| informed == 0, u64::MAX);
+            assert!(!out.satisfied, "{label}");
+            assert_eq!(out.interactions, u64::MAX - 1_000, "{label}");
+            assert_eq!(subject.interactions(), u64::MAX, "{label}");
+        }
+    }
+}
+
+#[test]
+fn u64_max_budgets_are_safe_after_a_warm_start() {
+    for Row {
+        label,
+        mut subject,
+        detects_stalls,
+    } in rows(TwoWayEpidemic::new(64, 64), 3)
+    {
+        assert_eq!(subject.run(10), 10, "{label}");
+        if detects_stalls {
+            let out = subject.run_until(|informed, _| informed == 0, u64::MAX);
+            assert_eq!(out.interactions, u64::MAX - 10, "{label}");
+            assert_eq!(subject.interactions(), u64::MAX, "{label}");
+            assert_eq!(subject.run(u64::MAX), 0, "{label}: no budget left");
+        } else {
+            // Tiers without stall detection cannot reach the bound; a
+            // satisfiable predicate must still come back exact.
+            let out = subject.run_until(all_informed, u64::MAX);
+            assert_eq!((out.interactions, out.satisfied), (0, true), "{label}");
+            let opts = StabilizationOptions::new(64, u64::MAX).confirm_window(100);
+            let res = subject.measure(all_informed, opts);
+            assert_eq!(
+                (res.stabilized_at, res.interactions),
+                (Some(10), 100),
+                "{label}"
+            );
+        }
     }
 }

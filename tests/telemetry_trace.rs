@@ -10,8 +10,8 @@ use ppsim::epidemic::{OneWayEpidemic, TwoWayEpidemic};
 use ppsim::simulation::StabilizationOptions;
 use ppsim::telemetry::{Counter, TraceEvent};
 use ppsim::{
-    AdaptiveConfig, BatchSimulation, EngineKind, MultiBatchSimulation, SimBuilder, Telemetry,
-    TelemetryReport, TrialFleet,
+    AdaptiveConfig, BatchSimulation, EngineKind, MultiBatchSimulation, SimBuilder,
+    SimulationEngine, Telemetry, TelemetryReport, TrialFleet,
 };
 
 /// The forced-switching policy the handoff-boundary regression in
@@ -80,7 +80,7 @@ fn pinned_snapshots_hold_with_telemetry_enabled() {
     let telemetry = Telemetry::enabled();
     let mut sim = BatchSimulation::clean(OneWayEpidemic::new(256, 1), 42);
     sim.set_telemetry(telemetry.clone());
-    let out = sim.run_until(|c| c.count(1) == c.population(), u64::MAX);
+    let out = sim.run_until(&mut |c| c.count(1) == c.population(), u64::MAX);
     assert!(out.satisfied);
     assert_eq!(out.interactions, 3_143, "batched snapshot moved");
     let report = telemetry.report().expect("enabled handle has a report");
@@ -99,7 +99,7 @@ fn pinned_snapshots_hold_with_telemetry_enabled() {
     let telemetry = Telemetry::enabled();
     let mut sim = MultiBatchSimulation::clean(OneWayEpidemic::new(256, 1), 42);
     sim.set_telemetry(telemetry.clone());
-    let out = sim.run_until(|c| c.count(1) == c.population(), u64::MAX);
+    let out = sim.run_until(&mut |c| c.count(1) == c.population(), u64::MAX);
     assert!(out.satisfied);
     assert_eq!(out.interactions, 3_065, "multibatch snapshot moved");
     assert_eq!(sim.epochs(), 284, "epoch-count snapshot moved");
@@ -199,7 +199,7 @@ fn auto_trace_records_handoffs_at_introspected_indices() {
     }
     assert!(sim.handoffs() >= 1, "the warm-up must cross the threshold");
     let opts = StabilizationOptions::new(N, u64::MAX / 2).confirm_window(5_000);
-    let res = sim.measure_stabilization(|c| c.count(1) == c.population(), opts);
+    let res = sim.measure_stabilization(&mut |c| c.count(1) == c.population(), opts);
     assert!(res.stabilized());
     assert_eq!(sim.current_kind(), EngineKind::Batched);
 
