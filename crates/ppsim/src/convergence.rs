@@ -51,7 +51,7 @@ pub(crate) trait Drive {
 
 /// Executes up to `budget` interactions unconditionally; returns the number
 /// executed (less than `budget` only if the engine can execute no more).
-pub(crate) fn run<E: Drive + ?Sized>(engine: &mut E, budget: u64) -> u64 {
+pub(crate) fn run<E: Drive>(engine: &mut E, budget: u64) -> u64 {
     let budget = budget.min(u64::MAX - engine.interactions());
     let mut done = 0;
     while done < budget {
@@ -68,7 +68,7 @@ pub(crate) fn run<E: Drive + ?Sized>(engine: &mut E, budget: u64) -> u64 {
 /// Runs until `pred` holds or `budget` interactions have been executed by
 /// this call, observing `pred` after every advance. A stall ends the run at
 /// once: the predicate is false and can never change.
-pub(crate) fn run_until<E: Drive + ?Sized>(
+pub(crate) fn run_until<E: Drive>(
     engine: &mut E,
     mut pred: impl FnMut(&E::View) -> bool,
     budget: u64,
@@ -102,7 +102,7 @@ pub(crate) fn run_until<E: Drive + ?Sized>(
 /// run, which stops early once it has held for `opts.confirm_window`
 /// consecutive interactions. No advance runs past the end of the window,
 /// and a stall ends the run: the current predicate value holds forever.
-pub(crate) fn measure_stabilization<E: Drive + ?Sized>(
+pub(crate) fn measure_stabilization<E: Drive>(
     engine: &mut E,
     mut pred: impl FnMut(&E::View) -> bool,
     opts: StabilizationOptions,
@@ -142,7 +142,7 @@ pub(crate) fn measure_stabilization<E: Drive + ?Sized>(
 }
 
 /// Tracks the first time a predicate became true and stayed true.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct StabilizationDetector {
     first_satisfied: Option<u64>,
     satisfied_now: bool,

@@ -33,7 +33,10 @@
 //! and [`SimulationEngine::measure_stabilization`] are provided methods over
 //! that primitive — the loops of [`crate::convergence`], shared with the
 //! bare [`Simulation`] — so budgets, confirmation windows, stall
-//! short-circuits and absolute indices mean the same on every tier.
+//! short-circuits and absolute indices mean the same on every tier. Only
+//! the batched engine, and `Auto` through it, detects a frozen
+//! configuration; the per-step and multi-batch engines never report a
+//! stall, so pair an unreachable predicate with a finite budget there.
 //!
 //! # Predicate granularity
 //!
@@ -267,13 +270,6 @@ impl<P: EnumerableProtocol, E: SimulationEngine<P> + ?Sized> Drive for Counts<'_
     }
 }
 
-/// The expected multi-batch epoch length at population size `n`
-/// (`≈ 0.63·√n` by the birthday bound), as advertised through
-/// [`PredicateGranularity::EpochCommit`].
-pub(crate) fn expected_epoch_length(n: u64) -> u64 {
-    ((0.6321 * (n as f64).sqrt()).ceil() as u64).max(1)
-}
-
 /// The fraction of ordered agent pairs that are currently *non-silent*,
 /// recomputed from the counts in `O(#occupied states²)` silence queries.
 ///
@@ -433,20 +429,6 @@ impl<P: EnumerableProtocol> PerStepEngine<P> {
         }
         true
     }
-
-    /// Pushes the current per-agent load summary into the telemetry report
-    /// (a no-op unless metrics are being maintained).
-    fn flush_balance(&self) {
-        if let Some(metrics) = &self.metrics {
-            self.telemetry.record_balance(BalanceSummary {
-                n: self.encoded.len() as u64,
-                total: metrics.total(),
-                min: metrics.min(),
-                max: metrics.max(),
-                max_imbalance: metrics.max_imbalance(),
-            });
-        }
-    }
 }
 
 impl<P: EnumerableProtocol> SimulationEngine<P> for PerStepEngine<P> {
@@ -473,9 +455,19 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for PerStepEngine<P> {
             stalled: false,
         }
     }
+    /// Also pushes the current per-agent load summary into the telemetry
+    /// report (while metrics are being maintained).
     fn end_run(&mut self, checks: u64) {
         self.telemetry.count(Counter::PerStepStrideChecks, checks);
-        self.flush_balance();
+        if let Some(metrics) = &self.metrics {
+            self.telemetry.record_balance(BalanceSummary {
+                n: self.encoded.len() as u64,
+                total: metrics.total(),
+                min: metrics.min(),
+                max: metrics.max(),
+                max_imbalance: metrics.max_imbalance(),
+            });
+        }
         self.span = None;
     }
 }

@@ -311,31 +311,16 @@ mod tests {
     fn batched_time_matches_per_step_in_expectation() {
         let n = 96;
         let trials = 12;
-        let mean = |batched: bool| -> f64 {
+        let mean = |kind: EngineKind| -> f64 {
             (0..trials)
                 .map(|i| {
-                    if batched {
-                        measure_epidemic_time_with(
-                            OneWayEpidemic::new(n, 1),
-                            EngineKind::Batched,
-                            30 + i,
-                            u64::MAX,
-                        )
+                    measure_epidemic_time_with(OneWayEpidemic::new(n, 1), kind, 30 + i, u64::MAX)
                         .unwrap() as f64
-                    } else {
-                        measure_epidemic_time_with(
-                            OneWayEpidemic::new(n, 1),
-                            EngineKind::PerStep,
-                            30 + i,
-                            u64::MAX,
-                        )
-                        .unwrap() as f64
-                    }
                 })
                 .sum::<f64>()
                 / trials as f64
         };
-        let (per_step, batched) = (mean(false), mean(true));
+        let (per_step, batched) = (mean(EngineKind::PerStep), mean(EngineKind::Batched));
         // Same distribution, different samples: means agree within generous
         // Monte-Carlo slack (σ/mean is ~15% at 12 trials of this size).
         assert!(
@@ -348,31 +333,16 @@ mod tests {
     fn multibatch_time_matches_per_step_in_expectation() {
         let n = 96;
         let trials = 12;
-        let mean = |multibatch: bool| -> f64 {
+        let mean = |kind: EngineKind| -> f64 {
             (0..trials)
                 .map(|i| {
-                    if multibatch {
-                        measure_epidemic_time_with(
-                            OneWayEpidemic::new(n, 1),
-                            EngineKind::MultiBatch,
-                            30 + i,
-                            u64::MAX,
-                        )
+                    measure_epidemic_time_with(OneWayEpidemic::new(n, 1), kind, 30 + i, u64::MAX)
                         .unwrap() as f64
-                    } else {
-                        measure_epidemic_time_with(
-                            OneWayEpidemic::new(n, 1),
-                            EngineKind::PerStep,
-                            30 + i,
-                            u64::MAX,
-                        )
-                        .unwrap() as f64
-                    }
                 })
                 .sum::<f64>()
                 / trials as f64
         };
-        let (per_step, multibatch) = (mean(false), mean(true));
+        let (per_step, multibatch) = (mean(EngineKind::PerStep), mean(EngineKind::MultiBatch));
         assert!(
             (per_step - multibatch).abs() < 0.5 * per_step,
             "per-step mean {per_step} vs multibatch mean {multibatch}"

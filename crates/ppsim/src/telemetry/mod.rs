@@ -58,7 +58,7 @@ pub enum Counter {
     /// Interactions executed by the per-step engine.
     PerStepInteractions,
     /// Predicate evaluations by the run loops on the per-step engine (the
-    /// name predates the removal of the check stride).
+    /// `per_step.stride_checks` label is kept so traces stay comparable).
     PerStepStrideChecks,
     /// Interactions accounted by the batched engine (silent runs included).
     BatchedInteractions,

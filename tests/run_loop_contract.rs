@@ -189,6 +189,7 @@ fn confirm_window_stops_the_run_early() {
         );
     }
 }
+
 #[test]
 fn a_frozen_configuration_short_circuits_stall_detecting_tiers() {
     // Every agent informed: no pair can change state again.
