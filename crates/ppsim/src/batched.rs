@@ -804,6 +804,15 @@ mod tests {
     }
 
     #[test]
+    fn run_until_budget_exhaustion_reports_unsatisfied() {
+        let p = OneWayEpidemic::new(64, 1);
+        let mut sim = BatchSimulation::clean(p, 5);
+        let out = sim.run_until(&mut |c| c.count(1) == c.population(), 10);
+        assert!(!out.satisfied);
+        assert_eq!(out.interactions, 10);
+    }
+
+    #[test]
     fn fixed_seed_is_deterministic() {
         let run = |seed: u64| {
             let p = OneWayEpidemic::new(128, 1);
