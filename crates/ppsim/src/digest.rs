@@ -21,14 +21,19 @@
 //!   promotion of the digest into `ppsim`.
 //!
 //! `Fnv64` also implements [`std::hash::Hasher`] (integers take the word
-//! fold, byte slices the byte fold), which the dynamic state indexer uses to
-//! hash wide protocol states in memory. Those hashes follow
-//! `#[derive(Hash)]`'s unspecified input format and are never persisted.
+//! fold, byte slices the byte fold). [`WordHash`] builds on it to hash wide
+//! protocol states in memory: the dynamic state indexer keys its tables with
+//! it, and `ElectLeader_r`'s message stores cache their hash with it. Those
+//! hashes follow `#[derive(Hash)]`'s unspecified input format and are never
+//! persisted.
 //!
 //! Neither is a cryptographic hash: keys identify *specs the workspace
 //! itself produced*, not adversarial input.
 //!
 //! [FNV-1a]: http://www.isthe.com/chongo/tech/comp/fnv/
+
+use crate::rng::splitmix64_finalize;
+use std::hash::{BuildHasher, Hasher};
 
 /// The FNV-1a 64-bit offset basis.
 pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -131,6 +136,77 @@ impl std::hash::Hasher for Fnv64 {
 
     fn finish(&self) -> u64 {
         self.state
+    }
+}
+
+/// The in-memory hashing of wide protocol states: [`Fnv64`]'s word fold (one
+/// multiply per integer field, or per eight bytes of an integer slice) with
+/// one SplitMix64 finalizer, so a table's bucket and tag bits depend on every
+/// input bit. The dynamic state indexer keys its tables with it, and protocol
+/// states may use it to cache the hash of a large payload (then feeding the
+/// cached word to whatever hasher hashes the state). The hashes are never
+/// persisted, and the keys are states the protocol itself produced, so the
+/// collision resistance of std's keyed `RandomState` buys nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WordHash;
+
+impl BuildHasher for WordHash {
+    type Hasher = FinalizedFnv;
+
+    fn build_hasher(&self) -> FinalizedFnv {
+        FinalizedFnv(Fnv64::new())
+    }
+}
+
+/// [`Fnv64`] whose `finish` applies the SplitMix64 finalizer: the hasher
+/// [`WordHash`] builds.
+#[derive(Debug, Clone)]
+pub struct FinalizedFnv(Fnv64);
+
+impl Hasher for FinalizedFnv {
+    /// Integer slices (`Vec<u64>` fields such as `ElectLeader_r`'s
+    /// observations) reach a hasher as their raw bytes, so fold them a word
+    /// at a time like every other integer write, not [`Fnv64`]'s byte fold
+    /// (eight multiplies per word); a short tail is one zero-padded word.
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.0
+                .write_u64(u64::from_le_bytes(word.try_into().unwrap_or_default()));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let last = tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+            self.0.write_u64(last);
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        Hasher::write_u8(&mut self.0, i);
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        Hasher::write_u16(&mut self.0, i);
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        Hasher::write_u32(&mut self.0, i);
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        Hasher::write_u64(&mut self.0, i);
+    }
+
+    fn write_u128(&mut self, i: u128) {
+        Hasher::write_u128(&mut self.0, i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        Hasher::write_usize(&mut self.0, i);
+    }
+
+    fn finish(&self) -> u64 {
+        splitmix64_finalize(Hasher::finish(&self.0))
     }
 }
 
@@ -253,6 +329,28 @@ mod tests {
         halves.write_u64(7);
         halves.write_u64(word);
         assert_eq!(wide, halves, "u128 folds low word then high word");
+    }
+
+    /// Integer slices are folded a word at a time, exactly like the same
+    /// integers written one by one, and the finalizer runs last.
+    #[test]
+    fn word_hash_folds_integer_slices_by_word() {
+        let mut words = Fnv64::new();
+        for w in [3u64, 1, u64::MAX, 0x0102_0304_0506_0708] {
+            words.write_u64(w);
+        }
+        let expected = splitmix64_finalize(words.finish());
+        // `Vec<u64>` hashes its length prefix, then the slice as raw bytes.
+        assert_eq!(
+            WordHash.hash_one(vec![1u64, u64::MAX, 0x0102_0304_0506_0708]),
+            expected
+        );
+        // A short tail is one zero-padded little-endian word.
+        let mut tail = Fnv64::new();
+        tail.write_u64(0x0003_0201);
+        let mut hasher = WordHash.build_hasher();
+        hasher.write(&[1, 2, 3]);
+        assert_eq!(hasher.finish(), splitmix64_finalize(tail.finish()));
     }
 
     #[test]

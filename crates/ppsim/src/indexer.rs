@@ -35,18 +35,23 @@
 //! # Memory
 //!
 //! Each discovered state is stored **once**, in discovery order; the lookup
-//! table holds only its 64-bit hash and index. States are hashed a word at a
-//! time ([`crate::digest::Fnv64`]'s word fold plus a SplitMix64 finalizer),
-//! which matters because an `ElectLeader_r` verifier carries `2m²` messages
-//! and `2m²` observations. Outcome states the engine hands over are moved in,
-//! not cloned.
+//! table holds only its 64-bit hash and index. States are hashed with
+//! [`WordHash`] (a word at a time: [`crate::digest::Fnv64`]'s word fold plus
+//! a SplitMix64 finalizer). Outcome states the engine hands over are moved
+//! in, not cloned.
 //!
 //! Interned states are **never evicted**: indices must stay stable for the
-//! count vector and the support memo, so memory grows with the run length,
-//! not with the occupancy. One `ElectLeader_r` trial at `n = 96, r = 24`
-//! interns about 82k states while at most 96 are occupied at any moment.
+//! count vector and the support memo. One `ElectLeader_r` trial at
+//! `n = 96, r = 24` interns about 82k states while at most 96 are occupied
+//! at any moment. What that costs depends on what the states share: an
+//! `ElectLeader_r` verifier keeps its `2m²` messages and `2m²` observations
+//! in copy-on-write payloads with a cached hash, so most new verifiers (a
+//! parent's payload with a changed timer or counter) add a few words and
+//! hash in O(1). Memory therefore grows with the number of distinct
+//! payloads (about 4.5k for the 18k verifiers that trial interns), not with
+//! the number of interned states times the state width.
 
-use crate::digest::Fnv64;
+use crate::digest::WordHash;
 use crate::enumerable::EnumerableProtocol;
 use crate::protocol::{InteractionCtx, Protocol};
 use crate::rng::splitmix64_finalize;
@@ -55,7 +60,7 @@ use rand::RngCore;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, Hash};
 use std::rc::Rc;
 
 /// An enumerated outcome distribution on state pairs: every entry maps an
@@ -168,72 +173,6 @@ pub fn deterministic_support<P: Protocol + ?Sized>(
         Some(vec![((u, v), 1.0)])
     } else {
         None
-    }
-}
-
-/// The in-memory hashing of the indexer: [`Fnv64`]'s word fold (one multiply
-/// per integer field, or per eight bytes of an integer slice) with one
-/// SplitMix64 finalizer before bucketing, so the table's bucket and tag bits
-/// depend on every input bit. The hashes are never persisted, and the keys
-/// are states the protocol itself produced, so the collision resistance of
-/// std's keyed `RandomState` buys nothing here.
-struct WordHash;
-
-impl BuildHasher for WordHash {
-    type Hasher = FinalizedFnv;
-
-    fn build_hasher(&self) -> FinalizedFnv {
-        FinalizedFnv(Fnv64::new())
-    }
-}
-
-/// [`Fnv64`] whose `finish` applies the SplitMix64 finalizer.
-struct FinalizedFnv(Fnv64);
-
-impl Hasher for FinalizedFnv {
-    /// Integer slices (`Vec<u64>` fields such as `ElectLeader_r`'s
-    /// observations) reach a hasher as their raw bytes, so fold them a word
-    /// at a time like every other integer write, not [`Fnv64`]'s byte fold
-    /// (eight multiplies per word); a short tail is one zero-padded word.
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.0
-                .write_u64(u64::from_le_bytes(word.try_into().unwrap_or_default()));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let last = tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
-            self.0.write_u64(last);
-        }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        Hasher::write_u8(&mut self.0, i);
-    }
-
-    fn write_u16(&mut self, i: u16) {
-        Hasher::write_u16(&mut self.0, i);
-    }
-
-    fn write_u32(&mut self, i: u32) {
-        Hasher::write_u32(&mut self.0, i);
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        Hasher::write_u64(&mut self.0, i);
-    }
-
-    fn write_u128(&mut self, i: u128) {
-        Hasher::write_u128(&mut self.0, i);
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        Hasher::write_usize(&mut self.0, i);
-    }
-
-    fn finish(&self) -> u64 {
-        splitmix64_finalize(Hasher::finish(&self.0))
     }
 }
 
@@ -577,6 +516,7 @@ mod tests {
     use super::*;
     use crate::protocol::{AgentId, CleanInit};
     use crate::{BatchSimulation, Configuration, SimRng, SimulationEngine};
+    use std::hash::Hasher;
 
     /// One-way epidemic on `bool` states, with state-level silence.
     struct Spread(usize);
@@ -861,28 +801,6 @@ mod tests {
             assert_eq!(p.decode(index), Collider(value));
             p.peek(index, |s| assert_eq!(s.0, value));
         }
-    }
-
-    /// Integer slices are folded a word at a time, exactly like the same
-    /// integers written one by one, and the finalizer runs last.
-    #[test]
-    fn word_hash_folds_integer_slices_by_word() {
-        let mut words = Fnv64::new();
-        for w in [3u64, 1, u64::MAX, 0x0102_0304_0506_0708] {
-            words.write_u64(w);
-        }
-        let expected = splitmix64_finalize(words.finish());
-        // `Vec<u64>` hashes its length prefix, then the slice as raw bytes.
-        assert_eq!(
-            WordHash.hash_one(vec![1u64, u64::MAX, 0x0102_0304_0506_0708]),
-            expected
-        );
-        // A short tail is one zero-padded little-endian word.
-        let mut tail = Fnv64::new();
-        tail.write_u64(0x0003_0201);
-        let mut hasher = WordHash.build_hasher();
-        hasher.write(&[1, 2, 3]);
-        assert_eq!(hasher.finish(), splitmix64_finalize(tail.finish()));
     }
 
     thread_local! {

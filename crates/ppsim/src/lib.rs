@@ -123,7 +123,7 @@ pub use coin::SyntheticCoin;
 pub use configuration::Configuration;
 pub use convergence::{Advance, StabilizationResult};
 pub use count_config::{CountConfiguration, MAX_POPULATION};
-pub use digest::{fnv1a_64, Fnv64};
+pub use digest::{fnv1a_64, Fnv64, WordHash};
 pub use engine::{
     AdaptiveConfig, AdaptiveSimulation, EngineKind, PerStepEngine, PredicateGranularity,
     SimBuilder, SimulationEngine,

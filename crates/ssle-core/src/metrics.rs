@@ -90,9 +90,14 @@ pub fn state_bits(params: &Params) -> StateBits {
     }
 }
 
-/// An estimate of the in-memory footprint (in bytes) of one agent state as
-/// represented by this implementation, counting heap payloads: for a
-/// verifier, its flat message buffer and its observations array.
+/// The *logical* per-agent footprint (in bytes) of one agent state as
+/// represented by this implementation: the inline `AgentState` plus its heap
+/// payloads — for a verifier, its message buffer and its observations array.
+///
+/// This is the paper's state-size accounting, one agent at a time: a
+/// verifier's message store and observations are copy-on-write payloads that
+/// clones share, but each agent's shared payloads are counted in full here,
+/// as if the agent held its own copy. It is not the simulator's memory use.
 pub fn measured_state_bytes(state: &AgentState) -> usize {
     let base = std::mem::size_of::<AgentState>();
     match state {

@@ -192,18 +192,28 @@ pub fn update_messages(
         owner.counter = 1;
         // Lines 5–8: rewrite the owner's own held messages to the new
         // signature and record the observations.
-        let signature = owner.signature;
-        for msg in owner.msgs.messages_for_mut(governor) {
-            msg.content = signature;
-            owner.observations.set(msg.id, signature);
-        }
+        stamp(
+            owner.msgs.messages_for_mut(governor),
+            owner.observations.raw_values_mut(),
+            owner.signature,
+        );
     }
 
     // Lines 9–12: rewrite the partner's messages governed by the owner.
-    let signature = owner.signature;
-    for msg in other.msgs.messages_for_mut(governor) {
+    stamp(
+        other.msgs.messages_for_mut(governor),
+        owner.observations.raw_values_mut(),
+        owner.signature,
+    );
+}
+
+/// Writes `signature` into every message of `held` and records it in the
+/// owner's `observations` (entry `id - 1` per message). Both slices are taken
+/// once per call, so a shared store or array is copied at most once.
+fn stamp(held: &mut [Message], observations: &mut [u64], signature: u64) {
+    for msg in held {
         msg.content = signature;
-        owner.observations.set(msg.id, signature);
+        observations[(msg.id - 1) as usize] = signature;
     }
 }
 
@@ -297,8 +307,7 @@ impl KernelScratch {
         // Each class's smaller half goes to whichever agent holds more so
         // far, so neither ends up with more than half (rounded up) of all.
         let half = self.merged.len().div_ceil(2);
-        u.begin_rebuild(half);
-        v.begin_rebuild(half);
+        let (mut u_out, mut v_out) = (u.begin_rebuild(half), v.begin_rebuild(half));
         let (mut u_assigned, mut v_assigned) = (0usize, 0usize);
         let classes = &mut self.classes;
         for (governor, bounds) in self.bounds.windows(2).enumerate() {
@@ -322,8 +331,8 @@ impl KernelScratch {
                     u_assigned += ceil;
                 }
             }
-            let u_run = u.rebuild_run(governor, u_assigned - u_before);
-            let v_run = v.rebuild_run(governor, v_assigned - v_before);
+            let u_run = u_out.run(governor, u_assigned - u_before);
+            let v_run = v_out.run(governor, v_assigned - v_before);
             // Which agent receives a message is as good as random, so the
             // write is branch-free: every message is stored on both sides and
             // only the receiving side's cursor advances (each run has a spare
@@ -341,8 +350,8 @@ impl KernelScratch {
                 j += usize::from(!to_u);
             }
         }
-        u.end_rebuild();
-        v.end_rebuild();
+        u_out.end();
+        v_out.end();
     }
 }
 

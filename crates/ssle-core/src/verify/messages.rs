@@ -12,8 +12,16 @@
 //! Layout: a store is one contiguous buffer of [`Message`]s sorted by
 //! `(governor, ID)` plus `m + 1` offsets, so the messages of governor `g` are
 //! the buffer range `offsets[g]..offsets[g + 1]`. The same-group kernel of
-//! `DetectCollision_r` therefore streams each store front to back, and a
-//! cloned store (as the state interner keeps them) carries no spare capacity.
+//! `DetectCollision_r` therefore streams each store front to back.
+//!
+//! Sharing: the buffer with its offsets, and the observations array, are
+//! copy-on-write payloads. Cloning a store or an observations array (as the
+//! state interner, the support probe and `decode` do) bumps a reference
+//! count and shares the buffer; the first mutable access through one of the
+//! sharers copies it, except that a rebuild by the kernel starts a fresh
+//! buffer instead of copying one it is about to overwrite. Each payload also
+//! caches its content hash, so hashing a verifier state reads two cached
+//! words instead of its `4m²` message and observation words.
 //!
 //! Sizing (for a group of size `m`): every rank governs `2m²` message IDs;
 //! the agent at in-group position `p` initially holds, for *every* governing
@@ -22,11 +30,101 @@
 //! and across the `m` agents of the group every `(rank, ID)` pair exists
 //! exactly once.
 
+use ppsim::WordHash;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
+use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::ops::{Deref, Range};
+use std::sync::{Arc, OnceLock};
 
 /// The content value every message and observation starts with.
 pub const INITIAL_CONTENT: u64 = 1;
+
+/// A copy-on-write payload: a value behind an [`Arc`], plus its content hash
+/// ([`WordHash`]), computed on first use and cleared by every mutable access.
+///
+/// Cloning shares the allocation. Equality returns early when both sides
+/// share one allocation, and [`Hash`] feeds the cached word, not the value.
+struct Shared<T>(Arc<Payload<T>>);
+
+struct Payload<T> {
+    value: T,
+    hash: OnceLock<u64>,
+}
+
+impl<T> Shared<T> {
+    fn new(value: T) -> Self {
+        Shared(Arc::new(Payload {
+            value,
+            hash: OnceLock::new(),
+        }))
+    }
+
+    /// Whether another clone holds this allocation too.
+    fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.0) > 1
+    }
+}
+
+impl<T: Clone> Shared<T> {
+    /// Mutable access, copying the value first if it is shared.
+    fn make_mut(&mut self) -> &mut T {
+        let payload = Arc::make_mut(&mut self.0);
+        payload.hash.take();
+        &mut payload.value
+    }
+}
+
+impl<T: Hash> Shared<T> {
+    /// The value's [`WordHash`], computed once per allocation.
+    fn content_hash(&self) -> u64 {
+        *self.0.hash.get_or_init(|| WordHash.hash_one(&self.0.value))
+    }
+}
+
+impl<T> Deref for Shared<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0.value
+    }
+}
+
+impl<T> Clone for Shared<T> {
+    fn clone(&self) -> Self {
+        Shared(Arc::clone(&self.0))
+    }
+}
+
+/// A copy taken for writing: the old hash does not carry over.
+impl<T: Clone> Clone for Payload<T> {
+    fn clone(&self) -> Self {
+        Payload {
+            value: self.value.clone(),
+            hash: OnceLock::new(),
+        }
+    }
+}
+
+impl<T: PartialEq> PartialEq for Shared<T> {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0.value == other.0.value
+    }
+}
+
+impl<T: Eq> Eq for Shared<T> {}
+
+impl<T: Hash> Hash for Shared<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.content_hash());
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Shared<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.value.fmt(f)
+    }
+}
 
 /// One circulating message held by an agent: its ID and current content.
 /// (The governor is implied by the position of the message inside the
@@ -41,8 +139,14 @@ pub struct Message {
 
 /// The sparse store of circulating messages held by one agent, organised per
 /// governing rank of the agent's group.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MessageStore {
+    runs: Shared<Runs>,
+}
+
+/// The payload of a [`MessageStore`].
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Runs {
     /// Every held message, sorted by governor and, within a governor, by ID.
     messages: Vec<Message>,
     /// `offsets[g]..offsets[g + 1]` is the run of governor `g` in `messages`:
@@ -52,15 +156,28 @@ pub struct MessageStore {
     ids_per_rank: u32,
 }
 
+impl Runs {
+    #[inline]
+    fn range(&self, governor: usize) -> Range<usize> {
+        self.offsets[governor]..self.offsets[governor + 1]
+    }
+}
+
+impl fmt::Debug for MessageStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MessageStore")
+            .field("messages", &self.runs.messages)
+            .field("offsets", &self.runs.offsets)
+            .field("ids_per_rank", &self.runs.ids_per_rank)
+            .finish()
+    }
+}
+
 impl MessageStore {
     /// Creates an empty store for a group of size `group_size` with
     /// `ids_per_rank` message IDs per governing rank.
     pub fn empty(group_size: usize, ids_per_rank: u32) -> Self {
-        MessageStore {
-            messages: Vec::new(),
-            offsets: vec![0; group_size + 1],
-            ids_per_rank,
-        }
+        Self::from_runs(Vec::new(), vec![0; group_size + 1], ids_per_rank)
     }
 
     /// Creates the initial store of the agent at in-group position
@@ -87,45 +204,55 @@ impl MessageStore {
                 content: INITIAL_CONTENT,
             }));
         }
+        let offsets = (0..=group_size).map(|g| g * per_governor).collect();
+        Self::from_runs(messages, offsets, ids_per_rank)
+    }
+
+    fn from_runs(messages: Vec<Message>, offsets: Vec<usize>, ids_per_rank: u32) -> Self {
         MessageStore {
-            messages,
-            offsets: (0..=group_size).map(|g| g * per_governor).collect(),
-            ids_per_rank,
+            runs: Shared::new(Runs {
+                messages,
+                offsets,
+                ids_per_rank,
+            }),
         }
     }
 
     /// The number of governing ranks (the group size).
     pub fn group_size(&self) -> usize {
-        self.offsets.len() - 1
+        self.runs.offsets.len() - 1
     }
 
     /// Number of message IDs per governing rank.
     pub fn ids_per_rank(&self) -> u32 {
-        self.ids_per_rank
+        self.runs.ids_per_rank
     }
 
     /// Total number of messages currently held.
     pub fn total(&self) -> usize {
-        self.messages.len()
+        self.runs.messages.len()
     }
 
     /// Number of messages governed by the rank at in-group position `g`.
     #[inline]
     pub fn count_for(&self, governor: usize) -> usize {
-        self.range(governor).len()
+        self.runs.range(governor).len()
     }
 
     /// The messages governed by in-group position `governor`, sorted by ID.
     #[inline]
     pub fn messages_for(&self, governor: usize) -> &[Message] {
-        &self.messages[self.range(governor)]
+        &self.runs.messages[self.runs.range(governor)]
     }
 
-    /// Mutable access to the messages governed by `governor`.
+    /// Mutable access to the messages governed by `governor`. Copies the
+    /// store first if it is shared, so take the slice once per governor, not
+    /// once per message.
     #[inline]
     pub fn messages_for_mut(&mut self, governor: usize) -> &mut [Message] {
-        let range = self.range(governor);
-        &mut self.messages[range]
+        let runs = self.runs.make_mut();
+        let range = runs.range(governor);
+        &mut runs.messages[range]
     }
 
     /// The content of the message `(governor, id)` if held.
@@ -138,15 +265,13 @@ impl MessageStore {
 
     /// Inserts or overwrites the message `(governor, id)` with `content`.
     pub fn insert(&mut self, governor: usize, id: u32, content: u64) {
-        let start = self.offsets[governor];
-        match self
-            .messages_for(governor)
-            .binary_search_by_key(&id, |m| m.id)
-        {
-            Ok(idx) => self.messages[start + idx].content = content,
+        let runs = self.runs.make_mut();
+        let start = runs.offsets[governor];
+        match runs.messages[runs.range(governor)].binary_search_by_key(&id, |m| m.id) {
+            Ok(idx) => runs.messages[start + idx].content = content,
             Err(idx) => {
-                self.messages.insert(start + idx, Message { id, content });
-                for offset in &mut self.offsets[governor + 1..] {
+                runs.messages.insert(start + idx, Message { id, content });
+                for offset in &mut runs.offsets[governor + 1..] {
                     *offset += 1;
                 }
             }
@@ -156,15 +281,15 @@ impl MessageStore {
     /// Removes the message `(governor, id)`, returning its content if it was
     /// held.
     pub fn remove(&mut self, governor: usize, id: u32) -> Option<u64> {
-        let start = self.offsets[governor];
         let idx = self
             .messages_for(governor)
             .binary_search_by_key(&id, |m| m.id)
             .ok()?;
-        for offset in &mut self.offsets[governor + 1..] {
+        let runs = self.runs.make_mut();
+        for offset in &mut runs.offsets[governor + 1..] {
             *offset -= 1;
         }
-        Some(self.messages.remove(start + idx).content)
+        Some(runs.messages.remove(runs.offsets[governor] + idx).content)
     }
 
     /// Whether this store and `other` both hold a message with the same
@@ -188,46 +313,58 @@ impl MessageStore {
     /// Per-governor message counts, used by tests and by the load-balancing
     /// experiments.
     pub fn counts(&self) -> Vec<usize> {
-        self.offsets.windows(2).map(|w| w[1] - w[0]).collect()
+        self.runs.offsets.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    #[inline]
-    fn range(&self, governor: usize) -> Range<usize> {
-        self.offsets[governor]..self.offsets[governor + 1]
-    }
-
-    /// Starts rewriting the store from scratch with at most `len` messages:
-    /// empties it, reusing the buffer when it is large enough and else
-    /// allocating exactly what the rebuild needs, so a store never holds more
-    /// spare capacity than its own largest size left behind. Then write every
-    /// governor's run in turn through [`Self::rebuild_run`] and finish with
-    /// [`Self::end_rebuild`].
-    pub(crate) fn begin_rebuild(&mut self, len: usize) {
-        self.messages.clear();
-        if self.messages.capacity() < len + 1 {
-            self.messages = Vec::with_capacity(len + 1);
+    /// Starts rewriting the store from scratch with at most `len` messages.
+    /// An unshared store is emptied, reusing its buffer when it is large
+    /// enough and else allocating exactly what the rebuild needs, so a store
+    /// never holds more spare capacity than its own largest size left
+    /// behind. A shared store is not copied: the rebuild writes a buffer of
+    /// its own. Write every governor's run in turn through
+    /// [`Rebuild::run`] and finish with [`Rebuild::end`].
+    pub(crate) fn begin_rebuild(&mut self, len: usize) -> Rebuild<'_> {
+        let (group_size, ids_per_rank) = (self.group_size(), self.ids_per_rank());
+        if self.runs.is_shared() {
+            *self = Self::from_runs(Vec::new(), vec![0; group_size + 1], ids_per_rank);
         }
+        let runs = self.runs.make_mut();
+        runs.messages.clear();
+        if runs.messages.capacity() < len + 1 {
+            runs.messages = Vec::with_capacity(len + 1);
+        }
+        Rebuild(runs)
     }
+}
 
+/// A [`MessageStore`] being rewritten run by run; see
+/// [`MessageStore::begin_rebuild`].
+pub(crate) struct Rebuild<'a>(&'a mut Runs);
+
+impl Rebuild<'_> {
     /// Makes `governor` (governors go in increasing order) a run of `len`
     /// messages and returns its slots plus one spare slot after them, free
     /// for scratch writes. The caller fills the run by increasing ID.
     #[inline]
-    pub(crate) fn rebuild_run(&mut self, governor: usize, len: usize) -> &mut [Message] {
-        let start = self.offsets[governor];
-        self.messages.truncate(start);
-        self.messages
+    pub(crate) fn run(&mut self, governor: usize, len: usize) -> &mut [Message] {
+        let runs = &mut *self.0;
+        let start = runs.offsets[governor];
+        runs.messages.truncate(start);
+        runs.messages
             .resize(start + len + 1, Message { id: 0, content: 0 });
-        self.offsets[governor + 1] = start + len;
-        &mut self.messages[start..]
+        runs.offsets[governor + 1] = start + len;
+        &mut runs.messages[start..]
     }
 
     /// Drops the spare slot of the last run.
-    pub(crate) fn end_rebuild(&mut self) {
-        self.messages.truncate(self.offsets[self.group_size()]);
+    pub(crate) fn end(self) {
+        let runs = self.0;
+        let group_size = runs.offsets.len() - 1;
+        runs.messages.truncate(runs.offsets[group_size]);
         debug_assert!(
-            (0..self.group_size())
-                .all(|g| self.messages_for(g).windows(2).all(|w| w[0].id < w[1].id)),
+            (0..group_size).all(|g| runs.messages[runs.range(g)]
+                .windows(2)
+                .all(|w| w[0].id < w[1].id)),
             "runs must be written by strictly increasing ID"
         );
     }
@@ -237,14 +374,14 @@ impl MessageStore {
 /// content the agent last wrote into its own message with that ID.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Observations {
-    values: Vec<u64>,
+    values: Shared<Vec<u64>>,
 }
 
 impl Observations {
     /// Creates the initial observations array (all [`INITIAL_CONTENT`]).
     pub fn initial(ids_per_rank: u32) -> Self {
         Observations {
-            values: vec![INITIAL_CONTENT; ids_per_rank as usize],
+            values: Shared::new(vec![INITIAL_CONTENT; ids_per_rank as usize]),
         }
     }
 
@@ -263,15 +400,17 @@ impl Observations {
         self.values[(id - 1) as usize]
     }
 
-    /// Records `content` for message `id` (1-based).
+    /// Records `content` for message `id` (1-based). Copies the array first
+    /// if it is shared; a loop over many IDs should take
+    /// [`Self::raw_values_mut`] once instead.
     pub fn set(&mut self, id: u32, content: u64) {
-        self.values[(id - 1) as usize] = content;
+        self.values.make_mut()[(id - 1) as usize] = content;
     }
 
     /// The whole array as a mutable slice: entry `id - 1` is the observation
-    /// recorded for message `id`.
+    /// recorded for message `id`. Copies the array first if it is shared.
     pub fn raw_values_mut(&mut self) -> &mut [u64] {
-        &mut self.values
+        self.values.make_mut()
     }
 }
 
@@ -390,6 +529,102 @@ mod tests {
             *v = 5;
         }
         assert_eq!(o.get(1), 5);
+    }
+
+    #[test]
+    fn debug_output_shows_the_payload_fields() {
+        let mut store = MessageStore::initial(2, 4, 1);
+        store.insert(0, 1, 9);
+        let shared = store.clone();
+        assert_eq!(
+            format!("{shared:?}"),
+            "MessageStore { messages: [Message { id: 1, content: 9 }, \
+             Message { id: 3, content: 1 }, Message { id: 4, content: 1 }, \
+             Message { id: 3, content: 1 }, Message { id: 4, content: 1 }], \
+             offsets: [0, 3, 5], ids_per_rank: 4 }"
+        );
+        assert_eq!(
+            format!("{:?}", Observations::initial(2)),
+            "Observations { values: [1, 1] }"
+        );
+    }
+
+    #[test]
+    fn shared_states_stay_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<MessageStore>();
+        send_sync::<Observations>();
+        send_sync::<crate::AgentState>();
+    }
+
+    /// The payload of `shared` with its cached hash, if computed.
+    fn payload<T>(shared: &Shared<T>) -> (usize, &T, Option<u64>) {
+        (
+            Arc::as_ptr(&shared.0) as usize,
+            &shared.0.value,
+            shared.0.hash.get().copied(),
+        )
+    }
+
+    /// A discovered `ElectLeader_r` run interns its verifiers with the
+    /// message stores and observations of their parents shared, not copied,
+    /// and every cached hash is the payload's current one.
+    #[test]
+    fn interned_verifiers_share_their_payloads() {
+        use crate::{output, AgentState, ElectLeader};
+        use ppsim::{DiscoveredProtocol, EngineKind, EnumerableProtocol, SimBuilder};
+        use std::collections::HashSet;
+
+        let discovered = DiscoveredProtocol::new(ElectLeader::with_n_r(24, 6).unwrap());
+        let handle = discovered.clone();
+        let mut sim = SimBuilder::new(discovered)
+            .kind(EngineKind::Auto)
+            .seed(7)
+            .build();
+        let out = sim.run_until(
+            &mut |c| output::is_correct_output_counts(&handle, c),
+            1_000_000,
+        );
+        assert!(out.satisfied, "the trial stabilizes");
+        // Past stabilization, cross-group meetings count probation timers
+        // down: new states around their parents' payloads.
+        sim.run(2_000);
+
+        let (mut verifiers, mut stores, mut observations) = (0, HashSet::new(), HashSet::new());
+        for index in 0..handle.num_states() {
+            handle.peek(index, |state| {
+                let AgentState::Verifying(agent) = state else {
+                    return;
+                };
+                let Some(dc) = agent.sv.dc.active() else {
+                    return;
+                };
+                verifiers += 1;
+                let (ptr, runs, hash) = payload(&dc.msgs.runs);
+                if let Some(hash) = hash {
+                    assert_eq!(hash, WordHash.hash_one(runs), "stale store hash");
+                }
+                stores.insert(ptr);
+                let (ptr, values, hash) = payload(&dc.observations.values);
+                if let Some(hash) = hash {
+                    assert_eq!(hash, WordHash.hash_one(values), "stale observations hash");
+                }
+                observations.insert(ptr);
+            });
+        }
+        // Observed at this seed: 4074 interned verifiers around 920 store
+        // and 920 observations payloads. Deep-copying clones would give each
+        // verifier a payload of its own.
+        assert!(verifiers >= 4_000, "{verifiers} verifiers interned");
+        for (what, payloads) in [
+            ("stores", stores.len()),
+            ("observations", observations.len()),
+        ] {
+            assert!(
+                payloads <= 1_000 && 4 * payloads < verifiers,
+                "{payloads} distinct {what} for {verifiers} verifiers"
+            );
+        }
     }
 
     #[test]

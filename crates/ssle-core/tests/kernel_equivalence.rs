@@ -4,16 +4,22 @@
 //! planted duplicates, inconsistent contents, equal ranks, `⊤` partners and
 //! cross-group pairs — the kernel must leave both states exactly as the
 //! transcription does and draw exactly as much randomness.
+//!
+//! Message stores and observations are copy-on-write payloads shared between
+//! clones, so the file also checks that stepping clones leaves the originals
+//! untouched and that no cached payload hash goes stale.
 
-use ppsim::{InteractionCtx, SimRng};
+use ppsim::{InteractionCtx, Protocol, SimRng, WordHash};
 use proptest::prelude::*;
 use rand::RngCore;
 use ssle_core::groups::GroupPartition;
 use ssle_core::params::Params;
 use ssle_core::verify::{
     balance_load, detect_collision, initial_state, CollisionState, DetectCollisionState, Message,
-    MessageStore,
+    MessageStore, Observations,
 };
+use ssle_core::{AgentState, ElectLeader};
+use std::hash::BuildHasher;
 use std::sync::OnceLock;
 
 /// `(n, r)` of the warmed groups; their first groups have sizes 4, 7, 16
@@ -303,5 +309,258 @@ proptest! {
         prop_assert_eq!(kernel_rng.next_u64(), reference_rng.next_u64());
         let expect_error = matches!(case, 3..=6);
         prop_assert_eq!(u.is_error() || v.is_error(), expect_error, "case {}", case);
+    }
+}
+
+/// A copy of `dc` rebuilt message by message and observation by observation:
+/// it shares no allocation with `dc`, so comparing against it compares every
+/// value and hashing it computes every hash afresh.
+fn deep_copy(dc: &DetectCollisionState) -> DetectCollisionState {
+    let Some(s) = dc.active() else {
+        return DetectCollisionState::Error;
+    };
+    let (m, ids) = (s.msgs.group_size(), s.msgs.ids_per_rank());
+    let mut msgs = MessageStore::empty(m, ids);
+    for g in 0..m {
+        for msg in s.msgs.messages_for(g) {
+            msgs.insert(g, msg.id, msg.content);
+        }
+    }
+    let mut observations = Observations::initial(ids);
+    for id in 1..=ids {
+        observations.set(id, s.observations.get(id));
+    }
+    DetectCollisionState::Active(CollisionState {
+        signature: s.signature,
+        counter: s.counter,
+        msgs,
+        observations,
+    })
+}
+
+/// [`deep_copy`] of a whole `ElectLeader_r` state.
+fn deep_copy_agent(state: &AgentState) -> AgentState {
+    let mut copy = state.clone();
+    if let AgentState::Verifying(agent) = &mut copy {
+        agent.sv.dc = deep_copy(&agent.sv.dc);
+    }
+    copy
+}
+
+/// The hash the dynamic state indexer keys its table with.
+fn indexer_hash<T: std::hash::Hash>(value: &T) -> u64 {
+    WordHash.hash_one(value)
+}
+
+/// `state` has the hash of a copy that shares nothing with it: its cached
+/// payload hashes are current.
+fn assert_hash_is_fresh(state: &AgentState, what: &str) {
+    assert_eq!(
+        indexer_hash(state),
+        indexer_hash(&deep_copy_agent(state)),
+        "{what}: stale cached hash"
+    );
+}
+
+/// A verifier of `protocol` with rank `rank` and collision state `dc`.
+fn verifier(protocol: &ElectLeader, rank: u32, dc: &DetectCollisionState) -> AgentState {
+    let mut state = protocol.verifier_state(rank);
+    if let AgentState::Verifying(agent) = &mut state {
+        agent.sv.dc = dc.clone();
+    }
+    state
+}
+
+/// Steps *clones* of warmed same-group pairs — through `detect_collision`
+/// (plain and with both signatures expiring), `balance_load`, and
+/// `ElectLeader::interact` (with a forced signature refresh, and against a
+/// `⊤` partner) — while the originals stay alive and share their payloads.
+/// The originals must still equal snapshots rebuilt from scratch, and every
+/// state involved must hash like its deep copy.
+#[test]
+fn stepping_clones_leaves_the_originals_untouched() {
+    for (w, &(n, r)) in warmed().iter().zip(SETUPS.iter()) {
+        let protocol = ElectLeader::with_n_r(n, r).unwrap();
+        let m = w.ranks.len();
+        let period = w.params.signature_period(m);
+        let mut pick = SimRng::seed_from_u64(0xC0 ^ m as u64);
+        for case in 0..5 {
+            let (i, j) = distinct_pair(&mut pick, m);
+            let (u_rank, v_rank) = (w.ranks[i], w.ranks[j]);
+            let originals = [
+                verifier(&protocol, u_rank, &w.states[i]),
+                verifier(&protocol, v_rank, &w.states[j]),
+            ];
+            let snapshots = originals.clone().map(|s| deep_copy_agent(&s));
+            // Cache the shared payloads' hashes before any clone is written.
+            for state in &originals {
+                assert_hash_is_fresh(state, "original");
+            }
+            let [mut u, mut v] = originals.clone();
+            let mut rng = SimRng::seed_from_u64(case as u64);
+            let mut ctx = InteractionCtx::new(&mut rng, 0);
+            match case {
+                0 | 1 => {
+                    let (AgentState::Verifying(a), AgentState::Verifying(b)) = (&mut u, &mut v)
+                    else {
+                        unreachable!("verifiers")
+                    };
+                    if case == 1 {
+                        active(&mut a.sv.dc).counter = period - 1;
+                        active(&mut b.sv.dc).counter = period - 1;
+                    }
+                    detect_collision(
+                        &w.params,
+                        &w.partition,
+                        u_rank,
+                        &mut a.sv.dc,
+                        v_rank,
+                        &mut b.sv.dc,
+                        &mut ctx,
+                    );
+                    assert!(!a.sv.dc.is_error() && !b.sv.dc.is_error());
+                }
+                2 => {
+                    let (AgentState::Verifying(a), AgentState::Verifying(b)) = (&mut u, &mut v)
+                    else {
+                        unreachable!("verifiers")
+                    };
+                    balance_load(active(&mut a.sv.dc), active(&mut b.sv.dc), m);
+                }
+                3 => {
+                    for state in [&mut u, &mut v] {
+                        if let AgentState::Verifying(agent) = state {
+                            active(&mut agent.sv.dc).counter = period - 1;
+                        }
+                    }
+                    protocol.interact(&mut u, &mut v, &mut ctx);
+                }
+                _ => {
+                    if let AgentState::Verifying(agent) = &mut v {
+                        agent.sv.dc = DetectCollisionState::Error;
+                    }
+                    protocol.interact(&mut u, &mut v, &mut ctx);
+                }
+            }
+            // (A balancing step may find the pair balanced already.)
+            assert!(
+                case == 2 || (u != originals[0] && v != originals[1]),
+                "m {m}, case {case}: the step wrote both clones"
+            );
+            assert!(
+                originals == snapshots,
+                "m {m}, case {case}: stepping clones changed the originals"
+            );
+            for (state, what) in [(&originals[0], "original u"), (&originals[1], "original v")] {
+                assert_hash_is_fresh(state, what);
+            }
+            for (state, what) in [(&u, "stepped u"), (&v, "stepped v")] {
+                assert_hash_is_fresh(state, what);
+            }
+        }
+    }
+}
+
+/// Every mutating entry point clears the cached hash of a payload it writes
+/// in place: hash, mutate, hash, restore, hash — each hash must equal that
+/// of a copy rebuilt from scratch, and restoring must restore the hash.
+#[test]
+fn mutation_never_leaves_a_stale_hash() {
+    for w in warmed() {
+        let m = w.ranks.len();
+        let (gu, gv) = (0, 1);
+        let base = deep_copy(&w.states[0]);
+        let fresh = |dc: &DetectCollisionState| indexer_hash(&deep_copy(dc));
+        let before = indexer_hash(&base);
+        assert_eq!(before, fresh(&base));
+        let first = base.active().unwrap().msgs.messages_for(0)[0];
+        type Edit = Box<dyn Fn(&mut CollisionState, bool)>;
+        let edits: [(&str, Edit); 5] = [
+            (
+                "messages_for_mut",
+                Box::new(|s, undo| {
+                    let msg = &mut s.msgs.messages_for_mut(0)[0];
+                    msg.content = if undo {
+                        msg.content - 1
+                    } else {
+                        msg.content + 1
+                    };
+                }),
+            ),
+            (
+                "insert",
+                Box::new(move |s, undo| {
+                    let content = if undo {
+                        first.content
+                    } else {
+                        first.content + 1
+                    };
+                    s.msgs.insert(0, first.id, content);
+                }),
+            ),
+            (
+                "remove",
+                Box::new(move |s, undo| {
+                    if undo {
+                        s.msgs.insert(0, first.id, first.content);
+                    } else {
+                        assert_eq!(s.msgs.remove(0, first.id), Some(first.content));
+                    }
+                }),
+            ),
+            (
+                "observations.set",
+                Box::new(|s, undo| {
+                    let value = s.observations.get(1);
+                    s.observations
+                        .set(1, if undo { value - 1 } else { value + 1 });
+                }),
+            ),
+            (
+                "raw_values_mut",
+                Box::new(|s, undo| {
+                    for value in s.observations.raw_values_mut() {
+                        *value = if undo { *value - 1 } else { *value + 1 };
+                    }
+                }),
+            ),
+        ];
+        for (what, edit) in edits {
+            let mut state = base.clone();
+            edit(active(&mut state), false);
+            let mutated = indexer_hash(&state);
+            assert_eq!(
+                mutated,
+                fresh(&state),
+                "m {m}, {what}: stale after the edit"
+            );
+            assert_ne!(mutated, before, "m {m}, {what}: the edit changed the value");
+            edit(active(&mut state), true);
+            assert!(state == base, "m {m}, {what}: undone");
+            assert_eq!(
+                indexer_hash(&state),
+                before,
+                "m {m}, {what}: stale after the undo"
+            );
+        }
+
+        // The kernel rebuilding unshared stores in place.
+        let (mut u, mut v) = (deep_copy(&w.states[gu]), deep_copy(&w.states[gv]));
+        let _ = (indexer_hash(&u), indexer_hash(&v));
+        let mut rng = SimRng::seed_from_u64(m as u64);
+        for step in 0..3 {
+            let mut ctx = InteractionCtx::new(&mut rng, step);
+            detect_collision(
+                &w.params,
+                &w.partition,
+                w.ranks[gu],
+                &mut u,
+                w.ranks[gv],
+                &mut v,
+                &mut ctx,
+            );
+            assert_eq!(indexer_hash(&u), fresh(&u), "m {m}: stale after a step");
+            assert_eq!(indexer_hash(&v), fresh(&v), "m {m}: stale after a step");
+        }
     }
 }
