@@ -3,10 +3,9 @@
 //!
 //! The fleet layer's two promises are (a) independent trials scale with
 //! cores and (b) aggregation is bit-identical regardless of thread count.
-//! This experiment measures (a) as trials/sec rows — the bench output's
-//! fleet-throughput rows — and *asserts* (b) inline by comparing the
-//! aggregated [`ppsim::FleetStats`] of the 1-thread and N-thread runs bit
-//! for bit (mean, variance, and the full retained sample).
+//! This experiment measures (a) as trials/sec rows and *asserts* (b) inline
+//! by comparing the aggregated [`ppsim::FleetStats`] of the 1-thread and
+//! N-thread runs bit for bit (mean, variance, and the full retained sample).
 //!
 //! The workload is one one-way-epidemic completion per trial under the
 //! `Auto` engine at [`Scale::fleet_n`] agents: a few milliseconds per trial,

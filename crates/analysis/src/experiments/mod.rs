@@ -1,4 +1,4 @@
-//! The experiments of `EXPERIMENTS.md` (E1–E11).
+//! The experiments E1–E11 (see the README's "Run the experiments" section).
 //!
 //! Every experiment is a function from a [`Scale`] to a [`Table`]. The
 //! sub-modules group the experiments by theme:

@@ -9,7 +9,7 @@
 //!   unchanged, and that the population returns to a consistent state.
 
 use crate::experiments::ssle_trial;
-use crate::runner::{run_trials, summarize_trials, TrialOutcome};
+use crate::runner::{run_trials, summarize_trials};
 use crate::scale::Scale;
 use crate::table::{fmt_f64, Table};
 use ppsim::rng::derive_seed;
@@ -216,11 +216,6 @@ pub fn e7_soft_reset(scale: Scale) -> Table {
 pub fn soft_reset_probe(n: usize, r: usize, corrupted: usize, seed: u64) -> (bool, bool) {
     let obs = soft_reset_trial(n, r, corrupted, seed);
     (obs.hard_reset_seen, obs.ranking_preserved)
-}
-
-/// Exposed for benches: a single post-reset stabilization trial.
-pub fn post_reset_trial(n: usize, r: usize, seed: u64) -> TrialOutcome {
-    ssle_trial(n, r, Scenario::Triggered, seed)
 }
 
 #[cfg(test)]

@@ -93,8 +93,7 @@ pub fn e8_substrate(scale: Scale) -> Table {
 /// Runs the load-balancing process on one group of size `m` where agent 0
 /// initially holds *all* messages, and returns the number of pairwise
 /// meetings until every agent's total message count is within a factor of two
-/// of the average. (Public so the Criterion benches can exercise it
-/// directly.)
+/// of the average.
 pub fn load_balancing_meetings(m: usize, seed: u64) -> u64 {
     let ids_per_rank = 2 * (m as u32) * (m as u32);
     let mut agents: Vec<CollisionState> = (0..m)

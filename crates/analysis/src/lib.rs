@@ -1,21 +1,22 @@
 //! # analysis — the experiment harness of the SSLE reproduction
 //!
 //! This crate turns the protocols of [`ssle_core`] and [`baselines`] into the
-//! measured experiments listed in `EXPERIMENTS.md` (E1–E11). It provides
+//! measured experiments E1–E11 (the README's "Run the experiments" section
+//! shows how to run them). It provides
 //!
 //! * [`runner`] — seeded, parallel trial execution and aggregation,
 //! * [`table`] — a small result-table type with Markdown/CSV emitters,
 //! * [`scale`] — the `Quick`/`Full` experiment scales (grid sizes, trial
 //!   counts, budgets),
 //! * [`experiments`] — one function per experiment, each returning a
-//!   [`Table`] whose rows are what `EXPERIMENTS.md` records,
+//!   [`Table`] of measured rows,
 //! * [`service`] — the experiment service layer: the [`ExperimentService`]
 //!   trait (spec in, rendered result-table JSON out), the canonical
 //!   [`JobSpec`] with its content-addressed cache key, and the in-process
 //!   [`LocalService`] backend the `ssle-server` daemon's workers call into.
 //!
-//! The `experiments` binary in the `bench` crate and the Criterion benches
-//! are thin wrappers over these functions.
+//! The `experiments` binary in the `bench` crate is a thin wrapper over
+//! these functions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,10 @@
 //! Experiment scales.
 //!
 //! Every experiment can run at two scales: [`Scale::Quick`] keeps grids and
-//! trial counts small enough for CI and for the Criterion benches (seconds to
-//! a few minutes in total), [`Scale::Full`] uses the grids recorded in
-//! `EXPERIMENTS.md`. Both scales exercise exactly the same code paths.
+//! trial counts small enough for CI (seconds to a few minutes in total),
+//! [`Scale::Full`] uses the paper-scale grids. Both scales exercise exactly
+//! the same code paths. The driver's usage text (`experiments --help`) lists
+//! the scale tokens.
 
 use serde::Serialize;
 
@@ -15,9 +16,9 @@ pub enum Scale {
     /// Minimal instances exercising every code path — used by the unit and
     /// integration tests (debug builds).
     Tiny,
-    /// Small grids and few trials — for CI and the Criterion benches.
+    /// Small grids and few trials — for CI.
     Quick,
-    /// The grids recorded in `EXPERIMENTS.md`.
+    /// The paper-scale grids.
     Full,
 }
 

@@ -2,7 +2,8 @@
 //!
 //! Every experiment produces a [`Table`]: a titled grid of stringly-typed
 //! cells plus free-form notes (e.g. fitted slopes). Tables render to Markdown
-//! (for `EXPERIMENTS.md`) and CSV (for archiving / plotting).
+//! (the driver's stdout), CSV (for archiving / plotting) and JSON (the
+//! service's result document).
 
 use serde::Serialize;
 

@@ -1,4 +1,6 @@
-//! The experiment driver: regenerates every table of `EXPERIMENTS.md`.
+//! The experiment driver: regenerates every result table (E1–E11, F1, P1,
+//! and the `sweep` document); the README's "Run the experiments" section
+//! shows typical invocations.
 //!
 //! ```bash
 //! cargo run --release -p bench --bin experiments -- all quick
@@ -8,10 +10,11 @@
 //!
 //! The first argument selects the experiment (`e1` … `e11`, `fleet`, `p1`,
 //! `sweep`, or `all`), the second the scale (`tiny`, `quick`, `full`;
-//! default `quick`; any other token prints the usage and exits with status
-//! 2). With
-//! `--csv <dir>` every table is additionally written as a CSV file and as a
-//! JSON document into the given directory. With `--trace <path>` the driver
+//! default `quick`). A bad scale or experiment id, a third positional, an
+//! unknown flag, or a flag missing its value prints the usage and exits with
+//! status 2. With `--csv <dir>` every table is additionally written as a CSV
+//! file and as a JSON document into the given directory; a failed write
+//! exits with status 1. With `--trace <path>` the driver
 //! additionally runs one telemetry-instrumented adaptive epidemic (the P1
 //! reference workload) and writes its trace as JSONL: the deterministic
 //! event stream first, the wall-clock timing stream after.
@@ -43,42 +46,38 @@ fn main() {
         return;
     }
 
-    let csv_at = args.iter().position(|a| a == "--csv");
-    let csv_dir: Option<PathBuf> = csv_at.and_then(|i| args.get(i + 1)).map(PathBuf::from);
-    let trace_at = args.iter().position(|a| a == "--trace");
-    let trace_path: Option<PathBuf> = trace_at.and_then(|i| args.get(i + 1)).map(PathBuf::from);
-    let remote_at = args.iter().position(|a| a == "--remote");
-    let remote_addr: Option<String> = remote_at.and_then(|i| args.get(i + 1)).cloned();
-    // Positionals are whatever remains once `--csv <dir>`, `--trace <path>`,
-    // and `--remote <addr>` are stripped, so the flags may appear before,
-    // between, or after them.
-    let flag_index = |i: usize| -> bool {
-        csv_at.is_some_and(|c| i == c || i == c + 1)
-            || trace_at.is_some_and(|t| i == t || i == t + 1)
-            || remote_at.is_some_and(|r| i == r || i == r + 1)
-    };
-    let positionals: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !flag_index(*i))
-        .map(|(_, a)| a)
-        .collect();
-    let selection = positionals
-        .first()
-        .map(|s| s.as_str())
-        .unwrap_or("all")
-        .to_string();
-    let scale = match Scale::from_arg(positionals.get(1).map(|a| a.as_str())) {
-        Ok(scale) => scale,
-        Err(why) => {
-            eprintln!("{why}");
-            print_usage();
-            std::process::exit(2);
+    let mut csv_dir: Option<&str> = None;
+    let mut trace_path: Option<&str> = None;
+    let mut remote_addr: Option<&str> = None;
+    let mut positionals: Vec<&str> = Vec::new();
+    // `--csv <dir>`, `--trace <path>` and `--remote <addr>` may appear
+    // before, between, or after the (at most two) positionals.
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let slot = match arg.as_str() {
+            "--csv" => &mut csv_dir,
+            "--trace" => &mut trace_path,
+            "--remote" => &mut remote_addr,
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag `{flag}`")),
+            positional => {
+                positionals.push(positional);
+                continue;
+            }
+        };
+        match iter.next() {
+            Some(value) if !value.starts_with('-') => *slot = Some(value),
+            _ => usage_error(&format!("{arg} needs a value")),
         }
-    };
+    }
+    if let Some(extra) = positionals.get(2) {
+        usage_error(&format!("unexpected argument `{extra}`"));
+    }
+    let selection = positionals.first().copied().unwrap_or("all");
+    let scale =
+        Scale::from_arg(positionals.get(1).copied()).unwrap_or_else(|why| usage_error(&why));
 
     if let Some(addr) = remote_addr {
-        run_remote(&addr, &selection, scale);
+        run_remote(addr, selection, scale);
         return;
     }
 
@@ -86,13 +85,9 @@ fn main() {
     let tables: Vec<Table> = if selection == "all" {
         experiments::all(scale)
     } else {
-        match experiments::by_id(&selection, scale) {
+        match experiments::by_id(selection, scale) {
             Some(table) => vec![table],
-            None => {
-                eprintln!("unknown experiment id '{selection}'");
-                print_usage();
-                std::process::exit(1);
-            }
+            None => usage_error(&format!("unknown experiment id `{selection}`")),
         }
     };
 
@@ -111,7 +106,7 @@ fn main() {
         eprintln!("peak-rss-mib: {:.1}", peak as f64 / (1u64 << 20) as f64);
     }
 
-    if let Some(dir) = csv_dir {
+    if let Some(dir) = csv_dir.map(PathBuf::from) {
         if let Err(e) = std::fs::create_dir_all(&dir) {
             eprintln!("cannot create {}: {e}", dir.display());
             std::process::exit(1);
@@ -125,17 +120,17 @@ fn main() {
                 .unwrap_or_else(|| format!("table{index}"));
             let csv_path = dir.join(format!("{stem}.csv"));
             let json_path = dir.join(format!("{stem}.json"));
-            if let Err(e) = std::fs::write(&csv_path, table.to_csv()) {
-                eprintln!("cannot write {}: {e}", csv_path.display());
-            }
-            if let Err(e) = std::fs::write(&json_path, table.to_json()) {
-                eprintln!("cannot write {}: {e}", json_path.display());
+            for (path, contents) in [(csv_path, table.to_csv()), (json_path, table.to_json())] {
+                if let Err(e) = std::fs::write(&path, contents) {
+                    eprintln!("cannot write {}: {e}", path.display());
+                    std::process::exit(1);
+                }
             }
         }
         eprintln!("wrote CSV/JSON results to {}", dir.display());
     }
 
-    if let Some(path) = trace_path {
+    if let Some(path) = trace_path.map(PathBuf::from) {
         let jsonl = analysis::experiments::profiling::reference_trace_jsonl(scale);
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             if let Err(e) = std::fs::create_dir_all(parent) {
@@ -216,6 +211,13 @@ fn run_remote(addr: &str, selection: &str, scale: Scale) {
             std::process::exit(1);
         }
     }
+}
+
+/// Prints `why` and the usage, then exits with status 2.
+fn usage_error(why: &str) -> ! {
+    eprintln!("{why}");
+    print_usage();
+    std::process::exit(2);
 }
 
 fn print_usage() {

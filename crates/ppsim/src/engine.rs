@@ -856,6 +856,14 @@ enum BuilderInit<S> {
 /// primitive layer). Defaults: clean initial configuration, seed 0,
 /// [`EngineKind::Auto`].
 ///
+/// The default suits small state spaces, where counts compress the
+/// population. For wide-state protocols such as `ElectLeader_r`, select
+/// [`EngineKind::PerStep`] (or run the bare [`Simulation`]): a trial
+/// discovers far more distinct states than there are agents, so the count
+/// tiers have nothing to compress, and under [`crate::DiscoveredProtocol`]
+/// they pay a hash and an intern per interaction on top. The README's
+/// "Picking a tier" has the measurements.
+///
 /// ```
 /// use ppsim::engine::{EngineKind, SimBuilder, SimulationEngine};
 /// use ppsim::epidemic::{OneWayEpidemic, INFORMED};

@@ -91,8 +91,7 @@ impl EnumerableProtocol for OneWayEpidemic {
 }
 
 /// State-level silence, so the epidemic can also run under the dynamic
-/// indexer ([`crate::indexer::DiscoveredProtocol`]) — useful as a reference
-/// point when benchmarking the discovered against the enumerated engine.
+/// indexer ([`crate::indexer::DiscoveredProtocol`]), as its doc example does.
 impl SupportEnumerable for OneWayEpidemic {
     fn silent_pair(&self, initiator: &bool, responder: &bool) -> bool {
         !*initiator || *responder

@@ -17,8 +17,8 @@
 //! 2. **Ambient time/env reads.** `Instant::now`, `SystemTime::now`, and
 //!    `std::env` reads make library behaviour depend on the machine rather
 //!    than the seed. They are confined to the approved timing/config
-//!    modules (`crates/analysis/src/experiments/`, `vendor/criterion/`,
-//!    `crates/bench/`); anywhere else in non-test code is a finding.
+//!    modules (`crates/analysis/src/experiments/`, `crates/bench/`);
+//!    anywhere else in non-test code is a finding.
 
 use super::{seq_at, text_at, Finding};
 use crate::lexer::Token;
@@ -42,7 +42,6 @@ const MAP_SCOPE: &[&str] = &[
 /// never RNG streams or control flow.
 const TIME_ENV_ALLOWED: &[&str] = &[
     "crates/analysis/src/experiments/",
-    "vendor/criterion/",
     "crates/bench/",
     "crates/ppsim/src/telemetry/clock.rs",
 ];
@@ -262,7 +261,6 @@ mod tests {
         let src = "fn f() {\n  let t = Instant::now();\n}\n";
         assert_eq!(lint("crates/ppsim/src/engine.rs", src).len(), 1);
         assert!(lint("crates/analysis/src/experiments/scaling.rs", src).is_empty());
-        assert!(lint("vendor/criterion/src/lib.rs", src).is_empty());
     }
 
     #[test]
