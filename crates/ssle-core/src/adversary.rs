@@ -213,7 +213,7 @@ pub fn corrupt_message_system(
             }
             for msg in active.msgs.messages_for_mut(governor) {
                 if rng.next_u32() % 2 == 0 {
-                    msg.content = 1 + rng.next_u64() % (1 << 40);
+                    msg.set_content(1 + rng.next_u64() % (1 << 40));
                 }
             }
         }
@@ -346,7 +346,7 @@ mod tests {
                     a.msgs
                         .messages_for(g)
                         .iter()
-                        .any(|m| m.content != crate::verify::INITIAL_CONTENT)
+                        .any(|m| m.content() != crate::verify::INITIAL_CONTENT)
                 })
             }),
             _ => false,
@@ -366,7 +366,7 @@ mod tests {
         let own_governor = p.partition().position_in_group(5);
         let active = v.sv.dc.active().unwrap();
         for msg in active.msgs.messages_for(own_governor) {
-            assert_eq!(msg.content, active.observations.get(msg.id));
+            assert_eq!(msg.content(), active.observations.get(msg.id()));
         }
     }
 

@@ -48,6 +48,12 @@ impl GroupPartition {
         GroupPartition { n, starts }
     }
 
+    /// The size of the largest group [`Self::with_sizes`] builds:
+    /// `⌈n / ⌈n/r⌉⌉`, computed without building the partition.
+    pub(crate) fn largest_group_size(n: usize, r: usize) -> usize {
+        n.div_ceil(n.div_ceil(r))
+    }
+
     /// The population size `n` this partition covers.
     pub fn n(&self) -> usize {
         self.n
@@ -144,6 +150,7 @@ mod tests {
             let min = *sizes.iter().min().unwrap();
             let max = *sizes.iter().max().unwrap();
             assert!(max - min <= 1, "sizes differ by more than one: {sizes:?}");
+            assert_eq!(max, GroupPartition::largest_group_size(n, r), "n={n} r={r}");
             assert!(max <= r, "group too large for n={n} r={r}: {sizes:?}");
             assert!(
                 min * 2 >= r,

@@ -194,6 +194,7 @@ mod tests {
         let cells = 2 * m * m;
         let payload =
             measured_state_bytes(&p.verifier_state(3)) - std::mem::size_of::<AgentState>();
+        assert_eq!(std::mem::size_of::<Message>(), 8);
         assert_eq!(payload, cells * std::mem::size_of::<Message>() + cells * 8);
     }
 

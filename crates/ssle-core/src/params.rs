@@ -8,6 +8,8 @@
 //! asymptotic prescriptions, and validates the constraints of Theorem 1.1
 //! (`1 ≤ r ≤ n/2`).
 
+use crate::groups::GroupPartition;
+use crate::verify::MAX_GROUP_SIZE;
 use ppsim::SimError;
 use serde::{Deserialize, Serialize};
 
@@ -76,8 +78,9 @@ impl Params {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidParameters`] if `n < 4` or `r` is outside
-    /// `1..=n/2`.
+    /// Returns [`SimError::InvalidParameters`] if `n < 4`, `r` is outside
+    /// `1..=n/2`, or the largest group of the rank partition exceeds
+    /// [`MAX_GROUP_SIZE`].
     pub fn new(n: usize, r: usize) -> Result<Self, SimError> {
         Self::with_constants(n, r, Constants::default())
     }
@@ -87,7 +90,9 @@ impl Params {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameters`] if `n < 4`, `r` is outside
-    /// `1..=n/2`, or `c_label ≤ 1`.
+    /// `1..=n/2`, the largest group of the rank partition exceeds
+    /// [`MAX_GROUP_SIZE`] (its messages would not fit the 8-byte
+    /// [`Message`](crate::verify::Message)), or `c_label ≤ 1`.
     pub fn with_constants(n: usize, r: usize, constants: Constants) -> Result<Self, SimError> {
         if n < 4 {
             return Err(SimError::InvalidParameters {
@@ -99,6 +104,15 @@ impl Params {
                 reason: format!(
                     "trade-off parameter r = {r} must satisfy 1 <= r <= n/2 = {}",
                     n / 2
+                ),
+            });
+        }
+        let largest_group = GroupPartition::largest_group_size(n, r);
+        if largest_group > MAX_GROUP_SIZE {
+            return Err(SimError::InvalidParameters {
+                reason: format!(
+                    "n = {n}, r = {r} makes a group of {largest_group} ranks; \
+                     groups are limited to {MAX_GROUP_SIZE} ranks"
                 ),
             });
         }
@@ -205,6 +219,21 @@ mod tests {
         assert!(Params::new(64, 33).is_err());
         assert!(Params::new(64, 32).is_ok());
         assert!(Params::new(3, 1).is_err());
+    }
+
+    #[test]
+    fn groups_past_the_message_packing_limit_rejected() {
+        let p = Params::new(1024, 511).unwrap();
+        assert_eq!(GroupPartition::new(&p).group_size(0), 342);
+        // Two groups of 512 ranks: 512⁵ = 2⁴⁵ signatures overflow a message.
+        match Params::new(1024, 512) {
+            Err(SimError::InvalidParameters { reason }) => {
+                assert!(reason.contains("group of 512 ranks"), "{reason}");
+                assert!(reason.contains("limited to 511"), "{reason}");
+            }
+            other => panic!("expected InvalidParameters, got {other:?}"),
+        }
+        assert!(Params::new(1022, 511).is_ok());
     }
 
     #[test]

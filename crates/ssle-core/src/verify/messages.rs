@@ -12,7 +12,10 @@
 //! Layout: a store is one contiguous buffer of [`Message`]s sorted by
 //! `(governor, ID)` plus `m + 1` offsets, so the messages of governor `g` are
 //! the buffer range `offsets[g]..offsets[g + 1]`. The same-group kernel of
-//! `DetectCollision_r` therefore streams each store front to back.
+//! `DetectCollision_r` therefore streams each store front to back. A message
+//! is one 8-byte word (19 ID bits over 45 content bits), which holds the
+//! IDs and signatures of every group of at most [`MAX_GROUP_SIZE`] ranks;
+//! `Params` rejects larger groups.
 //!
 //! Sharing: the buffer with its offsets, and the observations array, are
 //! copy-on-write payloads. Cloning a store or an observations array (as the
@@ -126,19 +129,87 @@ impl<T: fmt::Debug> fmt::Debug for Shared<T> {
     }
 }
 
+/// Bits of a packed [`Message`] that hold the content; the ID takes the rest.
+const CONTENT_BITS: u32 = 45;
+const CONTENT_MASK: u64 = (1 << CONTENT_BITS) - 1;
+
+/// The largest content a [`Message`] holds: `2⁴⁵ − 1`, above the `m⁵`
+/// signatures of every group size `m ≤` [`MAX_GROUP_SIZE`].
+pub const MAX_CONTENT: u64 = CONTENT_MASK;
+
+/// The largest message ID a [`Message`] holds: `2¹⁹ − 1`, above the `2m²`
+/// IDs per rank of every group size `m ≤` [`MAX_GROUP_SIZE`].
+pub const MAX_ID: u32 = (1 << (64 - CONTENT_BITS)) - 1;
+
+/// The largest group size whose messages fit a [`Message`]: `2·511² < 2¹⁹`
+/// and `511⁵ < 2⁴⁵`, while `512⁵ = 2⁴⁵`.
+pub const MAX_GROUP_SIZE: usize = 511;
+
 /// One circulating message held by an agent: its ID and current content.
 /// (The governor is implied by the position of the message inside the
 /// [`MessageStore`].)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Message {
+///
+/// Packed into one word: the ID in the high 19 bits, the content in the low
+/// 45. Word order is therefore `(ID, content)` order, and a store of `k`
+/// messages is `8k` bytes.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct Message(u64);
+
+impl Message {
+    /// The message `id` with `content`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` exceeds [`MAX_ID`] or `content` exceeds
+    /// [`MAX_CONTENT`].
+    #[inline]
+    pub fn new(id: u32, content: u64) -> Self {
+        assert!(id <= MAX_ID, "message id {id} exceeds {MAX_ID}");
+        let mut msg = Message(u64::from(id) << CONTENT_BITS);
+        msg.set_content(content);
+        msg
+    }
+
     /// The message ID, `1 ..= ids_per_rank`.
-    pub id: u32,
+    #[inline]
+    pub fn id(self) -> u32 {
+        (self.0 >> CONTENT_BITS) as u32
+    }
+
     /// The message content (a signature value).
-    pub content: u64,
+    #[inline]
+    pub fn content(self) -> u64 {
+        self.0 & CONTENT_MASK
+    }
+
+    /// Rewrites the content, keeping the ID.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `content` exceeds [`MAX_CONTENT`].
+    #[inline]
+    pub fn set_content(&mut self, content: u64) {
+        assert!(
+            content <= MAX_CONTENT,
+            "message content {content} exceeds {MAX_CONTENT}"
+        );
+        self.0 = self.0 & !CONTENT_MASK | content;
+    }
+}
+
+impl fmt::Debug for Message {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Message")
+            .field("id", &self.id())
+            .field("content", &self.content())
+            .finish()
+    }
 }
 
 /// The sparse store of circulating messages held by one agent, organised per
-/// governing rank of the agent's group.
+/// governing rank of the agent's group: one buffer of 8-byte [`Message`]s,
+/// governor by governor, each governor's run in ID order (which is word
+/// order, the ID being the high bits).
 #[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MessageStore {
     runs: Shared<Runs>,
@@ -199,10 +270,7 @@ impl MessageStore {
         let per_governor = (start..=end).count();
         let mut messages = Vec::with_capacity(group_size * per_governor);
         for _ in 0..group_size {
-            messages.extend((start..=end).map(|id| Message {
-                id,
-                content: INITIAL_CONTENT,
-            }));
+            messages.extend((start..=end).map(|id| Message::new(id, INITIAL_CONTENT)));
         }
         let offsets = (0..=group_size).map(|g| g * per_governor).collect();
         Self::from_runs(messages, offsets, ids_per_rank)
@@ -258,19 +326,20 @@ impl MessageStore {
     /// The content of the message `(governor, id)` if held.
     pub fn content(&self, governor: usize, id: u32) -> Option<u64> {
         let v = self.messages_for(governor);
-        v.binary_search_by_key(&id, |m| m.id)
+        v.binary_search_by_key(&id, |m| m.id())
             .ok()
-            .map(|idx| v[idx].content)
+            .map(|idx| v[idx].content())
     }
 
     /// Inserts or overwrites the message `(governor, id)` with `content`.
     pub fn insert(&mut self, governor: usize, id: u32, content: u64) {
         let runs = self.runs.make_mut();
         let start = runs.offsets[governor];
-        match runs.messages[runs.range(governor)].binary_search_by_key(&id, |m| m.id) {
-            Ok(idx) => runs.messages[start + idx].content = content,
+        let msg = Message::new(id, content);
+        match runs.messages[runs.range(governor)].binary_search_by_key(&id, |m| m.id()) {
+            Ok(idx) => runs.messages[start + idx] = msg,
             Err(idx) => {
-                runs.messages.insert(start + idx, Message { id, content });
+                runs.messages.insert(start + idx, msg);
                 for offset in &mut runs.offsets[governor + 1..] {
                     *offset += 1;
                 }
@@ -283,13 +352,13 @@ impl MessageStore {
     pub fn remove(&mut self, governor: usize, id: u32) -> Option<u64> {
         let idx = self
             .messages_for(governor)
-            .binary_search_by_key(&id, |m| m.id)
+            .binary_search_by_key(&id, |m| m.id())
             .ok()?;
         let runs = self.runs.make_mut();
         for offset in &mut runs.offsets[governor + 1..] {
             *offset -= 1;
         }
-        Some(runs.messages.remove(runs.offsets[governor] + idx).content)
+        Some(runs.messages.remove(runs.offsets[governor] + idx).content())
     }
 
     /// Whether this store and `other` both hold a message with the same
@@ -300,7 +369,7 @@ impl MessageStore {
             let (a, b) = (self.messages_for(governor), other.messages_for(governor));
             let (mut i, mut j) = (0, 0);
             while i < a.len() && j < b.len() {
-                match a[i].id.cmp(&b[j].id) {
+                match a[i].id().cmp(&b[j].id()) {
                     std::cmp::Ordering::Less => i += 1,
                     std::cmp::Ordering::Greater => j += 1,
                     std::cmp::Ordering::Equal => return true,
@@ -321,8 +390,9 @@ impl MessageStore {
     /// enough and else allocating exactly what the rebuild needs, so a store
     /// never holds more spare capacity than its own largest size left
     /// behind. A shared store is not copied: the rebuild writes a buffer of
-    /// its own. Write every governor's run in turn through
-    /// [`Rebuild::run`] and finish with [`Rebuild::end`].
+    /// its own. Append every governor's messages in turn through
+    /// [`Rebuild::extend`], close each run with [`Rebuild::close`], and
+    /// finish with [`Rebuild::end`].
     pub(crate) fn begin_rebuild(&mut self, len: usize) -> Rebuild<'_> {
         let (group_size, ids_per_rank) = (self.group_size(), self.ids_per_rank());
         if self.runs.is_shared() {
@@ -330,8 +400,8 @@ impl MessageStore {
         }
         let runs = self.runs.make_mut();
         runs.messages.clear();
-        if runs.messages.capacity() < len + 1 {
-            runs.messages = Vec::with_capacity(len + 1);
+        if runs.messages.capacity() < len {
+            runs.messages = Vec::with_capacity(len);
         }
         Rebuild(runs)
     }
@@ -342,29 +412,30 @@ impl MessageStore {
 pub(crate) struct Rebuild<'a>(&'a mut Runs);
 
 impl Rebuild<'_> {
-    /// Makes `governor` (governors go in increasing order) a run of `len`
-    /// messages and returns its slots plus one spare slot after them, free
-    /// for scratch writes. The caller fills the run by increasing ID.
+    /// Appends `messages` to the run being written. A run is filled by
+    /// increasing ID.
     #[inline]
-    pub(crate) fn run(&mut self, governor: usize, len: usize) -> &mut [Message] {
-        let runs = &mut *self.0;
-        let start = runs.offsets[governor];
-        runs.messages.truncate(start);
-        runs.messages
-            .resize(start + len + 1, Message { id: 0, content: 0 });
-        runs.offsets[governor + 1] = start + len;
-        &mut runs.messages[start..]
+    pub(crate) fn extend(&mut self, messages: &[Message]) {
+        self.0.messages.extend_from_slice(messages);
     }
 
-    /// Drops the spare slot of the last run.
+    /// Ends the run of `governor` (governors go in increasing order) after
+    /// the messages appended so far.
+    #[inline]
+    pub(crate) fn close(&mut self, governor: usize) {
+        let runs = &mut *self.0;
+        runs.offsets[governor + 1] = runs.messages.len();
+    }
+
+    /// Finishes the rebuild; every governor's run must have been closed.
     pub(crate) fn end(self) {
         let runs = self.0;
         let group_size = runs.offsets.len() - 1;
-        runs.messages.truncate(runs.offsets[group_size]);
+        debug_assert_eq!(runs.offsets[group_size], runs.messages.len());
         debug_assert!(
             (0..group_size).all(|g| runs.messages[runs.range(g)]
                 .windows(2)
-                .all(|w| w[0].id < w[1].id)),
+                .all(|w| w[0].id() < w[1].id())),
             "runs must be written by strictly increasing ID"
         );
     }
@@ -419,6 +490,58 @@ mod tests {
     use super::*;
 
     #[test]
+    fn packed_messages_round_trip_at_the_group_size_limit() {
+        let m = MAX_GROUP_SIZE as u64;
+        let id = 2 * (MAX_GROUP_SIZE as u32).pow(2);
+        assert!(id <= MAX_ID);
+        for content in [m.pow(5), (1 << 45) - 1, INITIAL_CONTENT] {
+            let msg = Message::new(id, content);
+            assert_eq!((msg.id(), msg.content()), (id, content));
+            let mut rewritten = Message::new(id, 0);
+            rewritten.set_content(content);
+            assert_eq!(rewritten, msg);
+        }
+        assert_eq!(std::mem::size_of::<Message>(), 8);
+    }
+
+    #[test]
+    fn packed_word_order_is_id_then_content_order() {
+        let ids = [1, 2, 0x3_FFFE, MAX_ID];
+        let contents = [0, 1, 2, 1 << 44, MAX_CONTENT - 1, MAX_CONTENT];
+        let messages: Vec<Message> = ids
+            .iter()
+            .flat_map(|&id| contents.iter().map(move |&c| Message::new(id, c)))
+            .collect();
+        for a in &messages {
+            for b in &messages {
+                assert_eq!(
+                    a.cmp(b),
+                    (a.id(), a.content()).cmp(&(b.id(), b.content())),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "message content 35184372088832 exceeds 35184372088831")]
+    fn oversized_content_panics_instead_of_truncating() {
+        let _ = Message::new(1, 1 << 45);
+    }
+
+    #[test]
+    #[should_panic(expected = "message content 35184372088832 exceeds 35184372088831")]
+    fn oversized_rewrite_panics_instead_of_truncating() {
+        Message::new(1, 1).set_content(1 << 45);
+    }
+
+    #[test]
+    #[should_panic(expected = "message id 524288 exceeds 524287")]
+    fn oversized_id_panics_instead_of_truncating() {
+        let _ = Message::new(1 << 19, 1);
+    }
+
+    #[test]
     fn initial_blocks_tile_the_id_space() {
         let m = 4usize;
         let ids = 2 * (m as u32).pow(2); // 32
@@ -428,8 +551,8 @@ mod tests {
             let mut seen = vec![0u32; ids as usize + 1];
             for store in &stores {
                 for msg in store.messages_for(governor) {
-                    seen[msg.id as usize] += 1;
-                    assert_eq!(msg.content, INITIAL_CONTENT);
+                    seen[msg.id() as usize] += 1;
+                    assert_eq!(msg.content(), INITIAL_CONTENT);
                 }
             }
             assert!(
@@ -453,7 +576,7 @@ mod tests {
         let stores: Vec<MessageStore> = (0..3).map(|p| MessageStore::initial(3, 20, p)).collect();
         let total: usize = stores.iter().map(|s| s.count_for(0)).sum();
         assert_eq!(total, 20);
-        assert_eq!(stores[2].messages_for(0).last().unwrap().id, 20);
+        assert_eq!(stores[2].messages_for(0).last().unwrap().id(), 20);
     }
 
     #[test]
@@ -475,7 +598,7 @@ mod tests {
         assert_eq!(s.remove(0, 3), None);
         assert_eq!(s.total(), 2);
         // Messages stay sorted by id, and the other governor is untouched.
-        let ids: Vec<u32> = s.messages_for(0).iter().map(|m| m.id).collect();
+        let ids: Vec<u32> = s.messages_for(0).iter().map(|m| m.id()).collect();
         assert_eq!(ids, vec![1]);
         assert_eq!(s.counts(), vec![1, 1]);
         assert_eq!(s.content(1, 3), Some(7));
@@ -489,7 +612,7 @@ mod tests {
         let mut built = MessageStore::empty(3, 18);
         for governor in (0..3).rev() {
             for msg in initial.messages_for(governor).iter().rev() {
-                built.insert(governor, msg.id, msg.content);
+                built.insert(governor, msg.id(), msg.content());
             }
         }
         assert_eq!(built, initial);

@@ -33,7 +33,9 @@ pub use detect_collision::{
     balance_load, check_message_consistency, detect_collision, initial_state, update_messages,
     CollisionState, DetectCollisionState,
 };
-pub use messages::{Message, MessageStore, Observations, INITIAL_CONTENT};
+pub use messages::{
+    Message, MessageStore, Observations, INITIAL_CONTENT, MAX_CONTENT, MAX_GROUP_SIZE, MAX_ID,
+};
 
 /// Number of generations counted modulo (the paper fixes 6).
 pub const GENERATIONS: u8 = 6;

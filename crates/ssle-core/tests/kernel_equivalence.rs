@@ -16,7 +16,7 @@ use ssle_core::groups::GroupPartition;
 use ssle_core::params::Params;
 use ssle_core::verify::{
     balance_load, detect_collision, initial_state, CollisionState, DetectCollisionState, Message,
-    MessageStore, Observations,
+    MessageStore, Observations, MAX_CONTENT,
 };
 use ssle_core::{AgentState, ElectLeader};
 use std::hash::BuildHasher;
@@ -64,7 +64,7 @@ fn shares_a_message(u: &CollisionState, v: &CollisionState) -> bool {
         u.msgs
             .messages_for(g)
             .iter()
-            .any(|msg| v.msgs.content(g, msg.id).is_some())
+            .any(|msg| v.msgs.content(g, msg.id()).is_some())
     })
 }
 
@@ -80,7 +80,7 @@ fn inconsistent(
         .msgs
         .messages_for(g)
         .iter()
-        .any(|msg| msg.content != owner.observations.get(msg.id))
+        .any(|msg| msg.content() != owner.observations.get(msg.id()))
 }
 
 /// Protocol 13: tick the counter (drawing a fresh signature when it expires)
@@ -103,7 +103,7 @@ fn update(
             .msgs
             .messages_for(g)
             .iter()
-            .map(|msg| msg.id)
+            .map(|msg| msg.id())
             .collect();
         for id in held {
             owner.msgs.insert(g, id, owner.signature);
@@ -114,7 +114,7 @@ fn update(
         .msgs
         .messages_for(g)
         .iter()
-        .map(|msg| msg.id)
+        .map(|msg| msg.id())
         .collect();
     for id in held {
         other.msgs.insert(g, id, owner.signature);
@@ -132,8 +132,8 @@ fn balance(u: &mut CollisionState, v: &mut CollisionState) {
     for g in 0..m {
         let mut pool: Vec<Message> = u.msgs.messages_for(g).to_vec();
         pool.extend_from_slice(v.msgs.messages_for(g));
-        pool.sort_by_key(|msg| (msg.content, msg.id));
-        for class in pool.chunk_by(|a, b| a.content == b.content) {
+        pool.sort_by_key(|msg| (msg.content(), msg.id()));
+        for class in pool.chunk_by(|a, b| a.content() == b.content()) {
             let (floor, ceil) = class.split_at(class.len() / 2);
             let smaller = if shares[0].1 > shares[1].1 { 0 } else { 1 };
             for (agent, half) in [(smaller, floor), (1 - smaller, ceil)] {
@@ -145,9 +145,9 @@ fn balance(u: &mut CollisionState, v: &mut CollisionState) {
     for (state, (share, _)) in [u, v].into_iter().zip(shares) {
         let mut store = MessageStore::empty(m, ids);
         for (g, mut messages) in share.into_iter().enumerate() {
-            messages.sort_by_key(|msg| msg.id);
+            messages.sort_by_key(|msg| msg.id());
             for msg in messages {
-                store.insert(g, msg.id, msg.content);
+                store.insert(g, msg.id(), msg.content());
             }
         }
         state.msgs = store;
@@ -207,12 +207,14 @@ fn active(dc: &mut DetectCollisionState) -> &mut CollisionState {
 }
 
 /// Rewrites to a fresh random content about half of the messages `state`
-/// holds of every governor except `skip`, as an adversary might.
+/// holds of every governor except `skip`, as an adversary might. Contents
+/// span the whole packed range `1..=MAX_CONTENT`, so the high content bits
+/// next to the ID bits are exercised too.
 fn scramble(state: &mut CollisionState, skip: [usize; 2], rng: &mut SimRng) {
     for g in (0..state.msgs.group_size()).filter(|g| !skip.contains(g)) {
         for msg in state.msgs.messages_for_mut(g) {
             if rng.next_u32() % 2 == 0 {
-                msg.content = 1 + rng.next_u64() % 1_000;
+                msg.set_content(1 + rng.next_u64() % MAX_CONTENT);
             }
         }
     }
@@ -228,7 +230,7 @@ fn warmed_groups_have_the_sizes_and_content_classes_under_test() {
             .map(|s| {
                 let msgs = &s.active().unwrap().msgs;
                 let mut contents: Vec<u64> = (0..m)
-                    .flat_map(|g| msgs.messages_for(g).iter().map(|msg| msg.content))
+                    .flat_map(|g| msgs.messages_for(g).iter().map(|msg| msg.content()))
                     .collect();
                 contents.sort_unstable();
                 contents.dedup();
@@ -273,13 +275,14 @@ proptest! {
                 let g = (pick.next_u64() % m as u64) as usize;
                 let held = active(&mut u).msgs.messages_for(g).to_vec();
                 let msg = held[(pick.next_u64() % held.len() as u64) as usize];
-                active(&mut v).msgs.insert(g, msg.id, msg.content);
+                active(&mut v).msgs.insert(g, msg.id(), msg.content());
             }
             4 => {
                 // v holds one of u's messages with a content u never wrote.
                 let msgs = active(&mut v).msgs.messages_for_mut(gu);
                 let k = (pick.next_u64() % msgs.len() as u64) as usize;
-                msgs[k].content += 1;
+                let content = msgs[k].content();
+                msgs[k].set_content(content + 1);
             }
             5 => v_rank = u_rank,
             6 => v = DetectCollisionState::Error,
@@ -323,7 +326,7 @@ fn deep_copy(dc: &DetectCollisionState) -> DetectCollisionState {
     let mut msgs = MessageStore::empty(m, ids);
     for g in 0..m {
         for msg in s.msgs.messages_for(g) {
-            msgs.insert(g, msg.id, msg.content);
+            msgs.insert(g, msg.id(), msg.content());
         }
     }
     let mut observations = Observations::initial(ids);
@@ -480,31 +483,31 @@ fn mutation_never_leaves_a_stale_hash() {
                 "messages_for_mut",
                 Box::new(|s, undo| {
                     let msg = &mut s.msgs.messages_for_mut(0)[0];
-                    msg.content = if undo {
-                        msg.content - 1
+                    msg.set_content(if undo {
+                        msg.content() - 1
                     } else {
-                        msg.content + 1
-                    };
+                        msg.content() + 1
+                    });
                 }),
             ),
             (
                 "insert",
                 Box::new(move |s, undo| {
                     let content = if undo {
-                        first.content
+                        first.content()
                     } else {
-                        first.content + 1
+                        first.content() + 1
                     };
-                    s.msgs.insert(0, first.id, content);
+                    s.msgs.insert(0, first.id(), content);
                 }),
             ),
             (
                 "remove",
                 Box::new(move |s, undo| {
                     if undo {
-                        s.msgs.insert(0, first.id, first.content);
+                        s.msgs.insert(0, first.id(), first.content());
                     } else {
-                        assert_eq!(s.msgs.remove(0, first.id), Some(first.content));
+                        assert_eq!(s.msgs.remove(0, first.id()), Some(first.content()));
                     }
                 }),
             ),

@@ -56,7 +56,7 @@ proptest! {
             let mut seen = vec![0u32; ids as usize + 1];
             for store in &stores {
                 for msg in store.messages_for(governor) {
-                    seen[msg.id as usize] += 1;
+                    seen[msg.id() as usize] += 1;
                 }
             }
             prop_assert!(seen[1..].iter().all(|&c| c == 1));
@@ -108,10 +108,10 @@ proptest! {
             let mut actual: Vec<(usize, u32, u64)> = Vec::new();
             for governor in 0..m {
                 for msg in u.msgs.messages_for(governor) {
-                    actual.push((governor, msg.id, msg.content));
+                    actual.push((governor, msg.id(), msg.content()));
                 }
                 for msg in v.msgs.messages_for(governor) {
-                    actual.push((governor, msg.id, msg.content));
+                    actual.push((governor, msg.id(), msg.content()));
                 }
             }
             actual.sort_unstable();
@@ -121,10 +121,10 @@ proptest! {
                 let mut per_content: std::collections::BTreeMap<u64, (i64, i64)> =
                     std::collections::BTreeMap::new();
                 for msg in u.msgs.messages_for(governor) {
-                    per_content.entry(msg.content).or_default().0 += 1;
+                    per_content.entry(msg.content()).or_default().0 += 1;
                 }
                 for msg in v.msgs.messages_for(governor) {
-                    per_content.entry(msg.content).or_default().1 += 1;
+                    per_content.entry(msg.content()).or_default().1 += 1;
                 }
                 for (content, (a, b)) in per_content {
                     prop_assert!((a - b).abs() <= 1, "content {content}: {a} vs {b}");

@@ -1,5 +1,5 @@
-//! The examples reject a mistyped scale or engine token with their usage and
-//! exit status 2 instead of running a default.
+//! The examples reject a mistyped scale, engine or number token with their
+//! usage and exit status 2 instead of running a default.
 
 use std::process::{Command, Output};
 
@@ -46,4 +46,19 @@ fn discovered_electleader_rejects_unknown_engines() {
         "perstep",
     );
     assert_rejected("discovered_electleader", &["4x8"], "4x8");
+}
+
+#[test]
+fn quickstart_rejects_bad_tokens_and_parameters() {
+    assert_rejected("quickstart", &["1024", "2x6"], "2x6");
+    assert_rejected("quickstart", &["x64"], "x64");
+    assert_rejected("quickstart", &["64", "8", "-1"], "-1");
+    assert_rejected("quickstart", &["64", "8", "7", "extra"], "extra");
+    // A group of 512 ranks does not fit the 8-byte message.
+    let out = run_example("quickstart", &["1024", "512"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("limited to 511 ranks"), "{stderr}");
+    assert!(stderr.contains("usage: quickstart"), "{stderr}");
+    assert!(out.stdout.is_empty(), "quickstart ran anyway");
 }
