@@ -15,27 +15,34 @@
 //! trade-off (Section 3.3).
 //!
 //! A same-group step moves all `~4m²` messages of both agents, so it is one
-//! kernel over the two flat [`MessageStore`]s: a read pass ID-merges both
-//! stores into per-thread scratch (an ID found in both is the Protocol 3
-//! collision), Protocols 12 and 13 touch only the two agents' own governors
-//! (re-merged afterwards), and a write pass routes the merged messages back
-//! (Protocol 14). Messages are 8-byte words (see [`Message`]), so the merge
-//! and the routing copy half the bytes of an `(ID, content)` pair of fields.
+//! kernel over the two flat [`MessageStore`]s that reads each message twice.
+//! Messages are 8-byte words (see [`Message`]).
 //!
-//! The routing works a run at a time. Within a governor, merged messages come
-//! in runs of equal content: at the end of an `n = 256, r = 64` trial, a
-//! same-group pair's `16 384` merged messages form ~1.8k runs, in at most 7
-//! classes per governor. A run belongs to one content class, so the class's
-//! remaining floor half is the run's lowest IDs: each run is split once and
-//! both halves are copied whole. Once the scratch and the stores have grown
-//! to their working size, a step allocates nothing.
+//! - The merge pass ID-merges both stores into per-thread scratch (an ID
+//!   found in both is the Protocol 3 collision). In the same loop it records
+//!   where the content changes: each governor's maximal runs of equal
+//!   content, each run's content class and each class's length. A run may
+//!   span a switch between `u`'s and `v`'s messages.
+//! - Protocols 12 and 13 touch only the two agents' own governors, which are
+//!   merged and counted again afterwards.
+//! - The routing pass rebuilds both stores from the recorded runs
+//!   (Protocol 14). A run lies in one class and arrives by increasing ID, so
+//!   what is left of its class's floor half is the run's lowest IDs: each run
+//!   is split once, and consecutive pieces bound for one store are copied as
+//!   one range.
+//!
+//! After verification settles at `n = 256, r = 64`, a same-group pair's
+//! `16 384` merged messages form ~650–810 runs, in ~3 classes per governor.
+//! Once the scratch and the stores have grown to their working size, a step
+//! allocates nothing.
 
 use crate::groups::GroupPartition;
 use crate::params::Params;
-use crate::verify::messages::{Message, MessageStore, Observations, INITIAL_CONTENT};
+use crate::verify::messages::{Message, MessageStore, Observations, INITIAL_CONTENT, MAX_CONTENT};
 use ppsim::InteractionCtx;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// The non-error per-agent state of `DetectCollision_r` (Fig. 3).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -252,21 +259,46 @@ thread_local! {
     static SCRATCH: RefCell<KernelScratch> = RefCell::new(KernelScratch::default());
 }
 
-/// Both agents' messages merged by governor and ID, plus the content classes
-/// and content runs of the governor being routed.
+/// Both agents' messages merged by governor and ID, with each governor's
+/// content runs and content classes, recorded while merging.
 #[derive(Default)]
 struct KernelScratch {
-    /// Both stores' messages, governor by governor, each run sorted by ID.
-    /// Only `..bounds[m]` is the current merge; the buffer keeps the length
-    /// of the largest merge so far, so a merge overwrites it in place.
+    /// Both stores' messages, governor by governor, each governor's part
+    /// sorted by ID. Only `..bounds[m]` is the current merge; the buffer
+    /// keeps the length of the largest merge so far, so a merge overwrites it
+    /// in place.
     merged: Vec<Message>,
-    /// `bounds[g]..bounds[g + 1]` is governor `g`'s run in `merged`.
+    /// `bounds[g]..bounds[g + 1]` is governor `g`'s part of `merged`.
     bounds: Vec<usize>,
-    /// The content classes of one governor, sorted by content.
+    /// Where governor `g`'s runs and classes lie in `runs` and `classes`.
+    spans: Vec<Span>,
+    /// The maximal runs of equal content in each governor's part of
+    /// `merged`, in ID order. A re-merged governor appends its runs anew.
+    runs: Vec<ContentRun>,
+    /// Each governor's content classes, in the order their first messages
+    /// were merged. A re-merged governor appends its classes anew.
     classes: Vec<ContentClass>,
-    /// Where each maximal run of equal content ends in the governor's
-    /// merged messages.
-    run_ends: Vec<usize>,
+    /// One governor's class indices sorted by content: the order in which
+    /// Protocol 14 hands out the classes' halves.
+    order: Vec<u32>,
+}
+
+/// One governor's share of [`KernelScratch::runs`] and
+/// [`KernelScratch::classes`].
+#[derive(Clone)]
+struct Span {
+    runs: Range<usize>,
+    classes: Range<usize>,
+}
+
+/// A maximal run of equal content in one governor's merged messages.
+#[derive(Clone, Copy)]
+struct ContentRun {
+    /// Where the run ends, counted from the governor's first merged message
+    /// (a governor has at most `2m² < 2¹⁹` messages).
+    end: u32,
+    /// The run's class, counted from the governor's first class.
+    class: u32,
 }
 
 /// One `(governor, content)` class of Protocol 14 and how it is split.
@@ -282,8 +314,8 @@ struct ContentClass {
 }
 
 impl KernelScratch {
-    /// Merges the two stores governor by governor and returns whether they
-    /// share a `(governor, ID)` pair.
+    /// Merges the two stores governor by governor, recording their content
+    /// runs, and returns whether they share a `(governor, ID)` pair.
     fn merge(&mut self, u: &MessageStore, v: &MessageStore) -> bool {
         assert_eq!(
             u.group_size(),
@@ -296,48 +328,82 @@ impl KernelScratch {
         }
         self.bounds.clear();
         self.bounds.push(0);
+        self.spans.clear();
+        self.runs.clear();
+        self.classes.clear();
         let mut shared = false;
         for governor in 0..u.group_size() {
-            let (a, b) = (u.messages_for(governor), v.messages_for(governor));
             let start = self.bounds[governor];
-            let end = start + a.len() + b.len();
-            shared |= merge_by_id(&mut self.merged[start..end], a, b);
-            self.bounds.push(end);
+            self.bounds
+                .push(start + u.count_for(governor) + v.count_for(governor));
+            let (shares, span) = self.merge_governor(governor, u, v);
+            shared |= shares;
+            self.spans.push(span);
         }
         shared
     }
 
-    /// Merges `governor` again after its contents were rewritten in place.
+    /// Merges and counts `governor` again after its contents were rewritten
+    /// in place.
     fn remerge(&mut self, governor: usize, u: &MessageStore, v: &MessageStore) {
-        let run = self.bounds[governor]..self.bounds[governor + 1];
-        merge_by_id(
-            &mut self.merged[run],
-            u.messages_for(governor),
-            v.messages_for(governor),
-        );
+        self.spans[governor] = self.merge_governor(governor, u, v).1;
     }
 
-    /// Protocol 14 on the merged messages: rebuilds `u` and `v` from them,
-    /// one run of equal content at a time.
+    /// Writes the merge of `governor`'s ID-sorted messages in `u` and `v`
+    /// into its part of `merged` (on equal IDs `u`'s message first) and
+    /// appends its content runs and classes. Returns whether an ID occurs in
+    /// both, and where the runs and classes went.
+    fn merge_governor(
+        &mut self,
+        governor: usize,
+        u: &MessageStore,
+        v: &MessageStore,
+    ) -> (bool, Span) {
+        let (a, b) = (u.messages_for(governor), v.messages_for(governor));
+        let out = &mut self.merged[self.bounds[governor]..self.bounds[governor + 1]];
+        debug_assert_eq!(out.len(), a.len() + b.len());
+        let mut runs = RunCounter::new(&mut self.runs, &mut self.classes);
+        let (mut i, mut j) = (0, 0);
+        let mut shared = false;
+        loop {
+            let Some(&next) = b.get(j) else {
+                i += runs.copy_while(&mut out[i + j..], i + j, &a[i..], |_| true);
+                break;
+            };
+            // `u`'s messages up to `v`'s next ID: in packed words, those at
+            // most that ID with every content bit set.
+            let limit = next.word() | MAX_CONTENT;
+            i += runs.copy_while(&mut out[i + j..], i + j, &a[i..], |word| word <= limit);
+            // An ID in both stores was just copied from `u`.
+            shared |= i > 0 && a[i - 1].id() == next.id();
+            let Some(&next) = a.get(i) else {
+                j += runs.copy_while(&mut out[i + j..], i + j, &b[j..], |_| true);
+                break;
+            };
+            // `v`'s messages below `u`'s next ID.
+            let limit = next.word() & !MAX_CONTENT;
+            j += runs.copy_while(&mut out[i + j..], i + j, &b[j..], |word| word < limit);
+        }
+        debug_assert_eq!((i, j), (a.len(), b.len()));
+        (shared, runs.finish(out.len()))
+    }
+
+    /// Protocol 14 from the recorded runs: rebuilds `u` and `v` from the
+    /// merged messages, one run of equal content at a time.
     fn route(&mut self, u: &mut MessageStore, v: &mut MessageStore) {
         // Each class's smaller half goes to whichever agent holds more so
         // far, so neither ends up with more than half (rounded up) of all.
         let half = self.bounds.last().map_or(0, |total| total.div_ceil(2));
         let (mut u_out, mut v_out) = (u.begin_rebuild(half), v.begin_rebuild(half));
         let (mut u_assigned, mut v_assigned) = (0usize, 0usize);
-        let (classes, run_ends) = (&mut self.classes, &mut self.run_ends);
-        for (governor, bounds) in self.bounds.windows(2).enumerate() {
-            let merged = &self.merged[bounds[0]..bounds[1]];
-            classes.clear();
-            run_ends.clear();
-            let (mut hint, mut end) = (0, 0);
-            for run in merged.chunk_by(|a, b| a.content() == b.content()) {
-                hint = class_of(classes, hint, run[0].content());
-                classes[hint].len += run.len();
-                end += run.len();
-                run_ends.push(end);
-            }
-            for class in classes.iter_mut() {
+        for (governor, span) in self.spans.iter().enumerate() {
+            let classes = &mut self.classes[span.classes.clone()];
+            self.order.clear();
+            self.order.extend(0..classes.len() as u32);
+            self.order
+                .sort_unstable_by_key(|&class| classes[class as usize].content);
+            for &class in &self.order {
+                let class = &mut classes[class as usize];
                 class.floor_left = class.len / 2;
                 class.floor_to_u = u_assigned > v_assigned;
                 let ceil = class.len - class.floor_left;
@@ -349,25 +415,33 @@ impl KernelScratch {
                     u_assigned += ceil;
                 }
             }
-            // A run lies in one class and arrives by increasing ID: what is
-            // left of the class's floor half is the run's lowest IDs.
+            let merged = &self.merged[self.bounds[governor]..self.bounds[governor + 1]];
+            // The pieces since `piece_start` all go to one store (`u` when
+            // `piece_to_u`); they are copied together when the store changes.
+            let (mut piece_start, mut piece_to_u) = (0, true);
+            let mut send = |at: usize, to_u: bool| {
+                if to_u != piece_to_u {
+                    let out = if piece_to_u { &mut u_out } else { &mut v_out };
+                    out.extend(&merged[piece_start..at]);
+                    (piece_start, piece_to_u) = (at, to_u);
+                }
+            };
             let mut start = 0;
-            for &end in run_ends.iter() {
-                let run = &merged[start..end];
-                start = end;
-                hint = class_of(classes, hint, run[0].content());
-                let class = &mut classes[hint];
-                let floor = class.floor_left.min(run.len());
+            for run in &self.runs[span.runs.clone()] {
+                let end = run.end as usize;
+                let class = &mut classes[run.class as usize];
+                let floor = class.floor_left.min(end - start);
                 class.floor_left -= floor;
-                let (floor_half, ceil_half) = run.split_at(floor);
-                let (floor_out, ceil_out) = if class.floor_to_u {
-                    (&mut u_out, &mut v_out)
-                } else {
-                    (&mut v_out, &mut u_out)
-                };
-                floor_out.extend(floor_half);
-                ceil_out.extend(ceil_half);
+                if floor > 0 {
+                    send(start, class.floor_to_u);
+                }
+                if start + floor < end {
+                    send(start + floor, !class.floor_to_u);
+                }
+                start = end;
             }
+            let out = if piece_to_u { &mut u_out } else { &mut v_out };
+            out.extend(&merged[piece_start..]);
             u_out.close(governor);
             v_out.close(governor);
         }
@@ -376,49 +450,105 @@ impl KernelScratch {
     }
 }
 
-/// Writes the merge of the ID-sorted runs `a` and `b` into `out` (of length
-/// `a.len() + b.len()`; on equal IDs `a`'s message first) and returns whether
-/// an ID occurs in both.
-fn merge_by_id(out: &mut [Message], a: &[Message], b: &[Message]) -> bool {
-    debug_assert_eq!(out.len(), a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    let mut shared = false;
-    while i < a.len() && j < b.len() {
-        // A plain branch: IDs come in runs (stores start as ID blocks), and
-        // on warmed stores this measured faster than a branch-free select.
-        if a[i].id() <= b[j].id() {
-            shared |= a[i].id() == b[j].id();
-            out[i + j] = a[i];
-            i += 1;
-        } else {
-            out[i + j] = b[j];
-            j += 1;
-        }
-    }
-    out[i + j..a.len() + j].copy_from_slice(&a[i..]);
-    out[a.len() + j..].copy_from_slice(&b[j..]);
-    shared
+/// Records one governor's content runs and classes while its messages are
+/// merged.
+struct RunCounter<'s> {
+    runs: &'s mut Vec<ContentRun>,
+    classes: &'s mut Vec<ContentClass>,
+    /// Where the governor's runs and classes begin in the two buffers.
+    first_run: usize,
+    first_class: usize,
+    /// Where the current run starts, its content (`u64::MAX`, which no
+    /// message has, before the first run) and its class.
+    start: usize,
+    content: u64,
+    class: usize,
+    /// The class of the run before, tried first for the next run: runs of
+    /// two contents often alternate.
+    hint: usize,
 }
 
-/// The index of `content`'s class in the content-sorted `classes`, trying
-/// `hint` first and inserting an empty class when there is none.
-fn class_of(classes: &mut Vec<ContentClass>, hint: usize, content: u64) -> usize {
-    if classes.get(hint).is_some_and(|c| c.content == content) {
-        return hint;
+impl<'s> RunCounter<'s> {
+    fn new(runs: &'s mut Vec<ContentRun>, classes: &'s mut Vec<ContentClass>) -> Self {
+        let (first_run, first_class) = (runs.len(), classes.len());
+        RunCounter {
+            runs,
+            classes,
+            first_run,
+            first_class,
+            start: 0,
+            content: u64::MAX,
+            class: 0,
+            hint: 0,
+        }
     }
-    match classes.binary_search_by_key(&content, |c| c.content) {
-        Ok(index) => index,
-        Err(index) => {
-            classes.insert(
-                index,
-                ContentClass {
-                    content,
-                    len: 0,
-                    floor_left: 0,
-                    floor_to_u: false,
-                },
-            );
-            index
+
+    /// Copies the leading messages of `from` whose packed words `keep`
+    /// accepts to the front of `out`, which starts `at` messages into the
+    /// governor's merge, noting every change of content. Returns how many
+    /// were copied.
+    fn copy_while(
+        &mut self,
+        out: &mut [Message],
+        at: usize,
+        from: &[Message],
+        keep: impl Fn(u64) -> bool,
+    ) -> usize {
+        let mut copied = 0;
+        for (slot, &msg) in out.iter_mut().zip(from) {
+            if !keep(msg.word()) {
+                break;
+            }
+            *slot = msg;
+            if msg.content() != self.content {
+                self.new_run(at + copied, msg.content());
+            }
+            copied += 1;
+        }
+        copied
+    }
+
+    /// Ends the current run (if any) at `at`, where a run of `content`
+    /// begins.
+    fn new_run(&mut self, at: usize, content: u64) {
+        if at > 0 {
+            self.close(at);
+        }
+        let classes = &self.classes[self.first_class..];
+        let found = if classes.get(self.hint).is_some_and(|c| c.content == content) {
+            Some(self.hint)
+        } else {
+            classes.iter().position(|c| c.content == content)
+        };
+        let class = found.unwrap_or_else(|| {
+            self.classes.push(ContentClass {
+                content,
+                len: 0,
+                floor_left: 0,
+                floor_to_u: false,
+            });
+            self.classes.len() - 1 - self.first_class
+        });
+        (self.start, self.content) = (at, content);
+        (self.hint, self.class) = (self.class, class);
+    }
+
+    fn close(&mut self, end: usize) {
+        self.runs.push(ContentRun {
+            end: end as u32,
+            class: self.class as u32,
+        });
+        self.classes[self.first_class + self.class].len += end - self.start;
+    }
+
+    /// Ends the last run at `len`, the governor's merged length.
+    fn finish(mut self, len: usize) -> Span {
+        if len > 0 {
+            self.close(len);
+        }
+        Span {
+            runs: self.first_run..self.runs.len(),
+            classes: self.first_class..self.classes.len(),
         }
     }
 }
@@ -628,8 +758,10 @@ mod tests {
                 (
                     s.merged.as_ptr(),
                     s.bounds.as_ptr(),
+                    s.spans.as_ptr(),
+                    s.runs.as_ptr(),
                     s.classes.as_ptr(),
-                    s.run_ends.as_ptr(),
+                    s.order.as_ptr(),
                 )
             });
             let stores = (

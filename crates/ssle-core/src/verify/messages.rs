@@ -182,6 +182,13 @@ impl Message {
         self.0 & CONTENT_MASK
     }
 
+    /// The packed word: the ID above [`MAX_CONTENT`]'s bits, the content in
+    /// them.
+    #[inline]
+    pub(crate) fn word(self) -> u64 {
+        self.0
+    }
+
     /// Rewrites the content, keeping the ID.
     ///
     /// # Panics

@@ -2,8 +2,10 @@
 //! paper's Protocols 3 and 12–14: on random same-group pairs of warmed
 //! groups — plain steps, forced signature refreshes, contents of many classes,
 //! planted duplicates, inconsistent contents, equal ranks, `⊤` partners and
-//! cross-group pairs — the kernel must leave both states exactly as the
-//! transcription does and draw exactly as much randomness.
+//! cross-group pairs, a governor held by one agent only — the kernel must
+//! leave both states exactly as the transcription does and draw exactly as
+//! much randomness. One group is warmed long enough to fragment its stores
+//! into many content runs, some of which span both agents' messages.
 //!
 //! Message stores and observations are copy-on-write payloads shared between
 //! clones, so the file also checks that stepping clones leaves the originals
@@ -22,9 +24,19 @@ use ssle_core::{AgentState, ElectLeader};
 use std::hash::BuildHasher;
 use std::sync::OnceLock;
 
-/// `(n, r)` of the warmed groups; their first groups have sizes 4, 7, 16
-/// and 64.
-const SETUPS: [(usize, usize); 4] = [(16, 4), (40, 7), (64, 16), (256, 64)];
+/// `(n, r, rounds)` of the warmed groups: their first groups have sizes 4,
+/// 7, 16, 64 and 16, and each agent refreshes its signature about `rounds`
+/// times. The last group runs long enough to fragment its stores.
+const SETUPS: [(usize, usize, usize); 5] = [
+    (16, 4, 1),
+    (40, 7, 1),
+    (64, 16, 1),
+    (256, 64, 1),
+    (64, 16, 4),
+];
+
+/// The group size of each setup's first group.
+const GROUP_SIZES: [usize; 5] = [4, 7, 16, 64, 16];
 
 /// Protocol 3, written out step by step.
 fn reference_detect_collision(
@@ -169,7 +181,7 @@ fn distinct_pair(rng: &mut SimRng, m: usize) -> (usize, usize) {
     (i, if j >= i { j + 1 } else { j })
 }
 
-fn warm(n: usize, r: usize) -> Warmed {
+fn warm(n: usize, r: usize, rounds: usize) -> Warmed {
     let params = Params::new(n, r).unwrap();
     let partition = GroupPartition::new(&params);
     let ranks: Vec<u32> = partition.ranks_in(0).collect();
@@ -179,7 +191,7 @@ fn warm(n: usize, r: usize) -> Warmed {
         .map(|&rank| initial_state(&params, &partition, rank))
         .collect();
     let mut rng = SimRng::seed_from_u64(n as u64);
-    for step in 0..m * params.signature_period(m) as usize {
+    for step in 0..rounds * m * params.signature_period(m) as usize {
         let (i, j) = distinct_pair(&mut rng, m);
         let (mut a, mut b) = (states[i].clone(), states[j].clone());
         let mut ctx = InteractionCtx::new(&mut rng, step as u64);
@@ -199,7 +211,12 @@ fn warm(n: usize, r: usize) -> Warmed {
 
 fn warmed() -> &'static [Warmed] {
     static WARMED: OnceLock<Vec<Warmed>> = OnceLock::new();
-    WARMED.get_or_init(|| SETUPS.iter().map(|&(n, r)| warm(n, r)).collect())
+    WARMED.get_or_init(|| {
+        SETUPS
+            .iter()
+            .map(|&(n, r, rounds)| warm(n, r, rounds))
+            .collect()
+    })
 }
 
 fn active(dc: &mut DetectCollisionState) -> &mut CollisionState {
@@ -222,7 +239,7 @@ fn scramble(state: &mut CollisionState, skip: [usize; 2], rng: &mut SimRng) {
 
 #[test]
 fn warmed_groups_have_the_sizes_and_content_classes_under_test() {
-    for (w, m) in warmed().iter().zip([4, 7, 16, 64]) {
+    for (w, m) in warmed().iter().zip(GROUP_SIZES) {
         assert_eq!(w.ranks.len(), m);
         let most = w
             .states
@@ -242,12 +259,55 @@ fn warmed_groups_have_the_sizes_and_content_classes_under_test() {
     }
 }
 
+/// The maximal runs of equal content when governor `g`'s messages of `u`
+/// and `v` are merged by ID, each as `(holds u's, holds v's)`.
+fn merged_content_runs(u: &CollisionState, v: &CollisionState, g: usize) -> Vec<(bool, bool)> {
+    let mut pool: Vec<(u32, u64, bool)> = Vec::new();
+    for (s, from_u) in [(u, true), (v, false)] {
+        let held = s.msgs.messages_for(g).iter();
+        pool.extend(held.map(|msg| (msg.id(), msg.content(), from_u)));
+    }
+    pool.sort_unstable();
+    pool.chunk_by(|a, b| a.1 == b.1)
+        .map(|run| (run.iter().any(|x| x.2), run.iter().any(|x| !x.2)))
+        .collect()
+}
+
+/// The long-warmed group gives the kernel what a long simulation does: a
+/// pair's merged governor falls into many content runs (a governor has only
+/// a few content classes), and a run may span both agents' messages.
+#[test]
+fn the_long_warmed_group_has_fragmented_stores() {
+    let w = &warmed()[SETUPS.len() - 1];
+    let m = w.ranks.len();
+    let (mut most, mut spanning) = (0, 0);
+    for i in 0..m {
+        for j in i + 1..m {
+            let (u, v) = (w.states[i].active().unwrap(), w.states[j].active().unwrap());
+            for g in 0..m {
+                let runs = merged_content_runs(u, v, g);
+                most = most.max(runs.len());
+                spanning += runs
+                    .iter()
+                    .filter(|&&(from_u, from_v)| from_u && from_v)
+                    .count();
+            }
+        }
+    }
+    // Of the 4m messages a pair holds per governor.
+    assert!(
+        most >= 2 * m,
+        "at most {most} content runs in a merged governor"
+    );
+    assert!(spanning > 0, "no content run spans both agents' messages");
+}
+
 proptest! {
     #[test]
     fn kernel_matches_the_protocol_transcription(
         setup in 0usize..SETUPS.len(),
         pair in any::<u64>(),
-        case in 0u32..8,
+        case in 0u32..9,
         seed in any::<u64>(),
     ) {
         let w = &warmed()[setup];
@@ -286,6 +346,22 @@ proptest! {
             }
             5 => v_rank = u_rank,
             6 => v = DetectCollisionState::Error,
+            8 => {
+                // One agent hands all its messages of one governor to the
+                // other, which then holds the governor's whole merge.
+                let g = (pick.next_u64() % m as u64) as usize;
+                let (from, to) = if pick.next_u32() % 2 == 0 {
+                    (&mut u, &mut v)
+                } else {
+                    (&mut v, &mut u)
+                };
+                let (from, to) = (active(from), active(to));
+                for msg in from.msgs.messages_for(g).to_vec() {
+                    from.msgs.remove(g, msg.id());
+                    to.msgs.insert(g, msg.id(), msg.content());
+                }
+                prop_assert_eq!(from.msgs.count_for(g), 0);
+            }
             _ => u_rank = w.partition.ranks_in(1).next().unwrap(),
         }
         let (mut ref_u, mut ref_v) = (u.clone(), v.clone());
@@ -382,7 +458,7 @@ fn verifier(protocol: &ElectLeader, rank: u32, dc: &DetectCollisionState) -> Age
 /// state involved must hash like its deep copy.
 #[test]
 fn stepping_clones_leaves_the_originals_untouched() {
-    for (w, &(n, r)) in warmed().iter().zip(SETUPS.iter()) {
+    for (w, &(n, r, _)) in warmed().iter().zip(SETUPS.iter()) {
         let protocol = ElectLeader::with_n_r(n, r).unwrap();
         let m = w.ranks.len();
         let period = w.params.signature_period(m);

@@ -10,13 +10,36 @@ use ppsim::simulation::StabilizationOptions;
 use ppsim::{SimRng, Simulation};
 use ssle_core::{classify, output, ElectLeader, Scenario};
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(32);
-    let r: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(7);
+const USAGE: &str = "usage: adversarial_recovery [n] [r] [seed]";
 
-    let protocol = ElectLeader::with_n_r(n, r).expect("valid parameters");
+/// Prints `message` and the usage, and exits with status 2.
+fn reject(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// The `index`-th argument parsed, `None` when absent; an unparsable token
+/// is rejected.
+fn arg<T: std::str::FromStr>(args: &[String], index: usize) -> Option<T> {
+    let token = args.get(index)?;
+    Some(
+        token
+            .parse()
+            .unwrap_or_else(|_| reject(&format!("bad argument `{token}`"))),
+    )
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(extra) = args.get(3) {
+        reject(&format!("unexpected argument `{extra}`"));
+    }
+    let n: usize = arg(&args, 0).unwrap_or(32);
+    let r: usize = arg(&args, 1).unwrap_or(8);
+    let seed: u64 = arg(&args, 2).unwrap_or(7);
+
+    let protocol = ElectLeader::with_n_r(n, r)
+        .unwrap_or_else(|e| reject(&format!("invalid parameters `{n} {r}`: {e}")));
     let budget = protocol.params().suggested_budget();
     println!("Self-stabilization from adversarial configurations (n = {n}, r = {r})");
     println!(
@@ -25,7 +48,7 @@ fn main() {
     );
 
     for scenario in Scenario::catalog(n) {
-        let protocol = ElectLeader::with_n_r(n, r).expect("valid parameters");
+        let protocol = ElectLeader::with_n_r(n, r).expect("parameters checked above");
         let mut rng = SimRng::seed_from_u64(seed);
         let config = scenario.generate(&protocol, &mut rng);
         let level = classify(&config);

@@ -11,12 +11,48 @@ use ppsim::rng::derive_seed;
 use ppsim::{SimRng, Simulation};
 use ssle_core::{ElectLeader, Scenario};
 
+const USAGE: &str = "usage: collision_detection [n] [r] [duplicates] [trials]";
+
+/// Prints `message` and the usage, and exits with status 2.
+fn reject(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// The `index`-th argument parsed, `None` when absent; an unparsable token
+/// is rejected.
+fn arg<T: std::str::FromStr>(args: &[String], index: usize) -> Option<T> {
+    let token = args.get(index)?;
+    Some(
+        token
+            .parse()
+            .unwrap_or_else(|_| reject(&format!("bad argument `{token}`"))),
+    )
+}
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(64);
-    let r: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(n / 2);
-    let duplicates: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2);
-    let trials: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(5);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(extra) = args.get(4) {
+        reject(&format!("unexpected argument `{extra}`"));
+    }
+    let n: usize = arg(&args, 0).unwrap_or(64);
+    let r: usize = arg(&args, 1).unwrap_or(n / 2);
+    let duplicates: usize = arg(&args, 2).unwrap_or(2);
+    let trials: u64 = arg(&args, 3).unwrap_or(5);
+    if let Err(e) = ElectLeader::with_n_r(n, r) {
+        reject(&format!("invalid parameters `{n} {r}`: {e}"));
+    }
+    // Duplicate pair i is agents (i, n - duplicates + i): the pairs are
+    // disjoint only for at most n/2 of them.
+    if !(1..=n / 2).contains(&duplicates) {
+        reject(&format!(
+            "duplicates `{duplicates}` must lie in 1..={}",
+            n / 2
+        ));
+    }
+    if trials == 0 {
+        reject("trials `0` must be at least 1");
+    }
 
     println!("Collision-detection latency (n = {n}, r = {r}, {duplicates} duplicated ranks)");
     println!(
@@ -27,7 +63,7 @@ fn main() {
     let mut detection_total = 0.0;
     let mut naive_total = 0.0;
     for trial in 0..trials {
-        let protocol = ElectLeader::with_n_r(n, r).expect("valid parameters");
+        let protocol = ElectLeader::with_n_r(n, r).expect("parameters checked above");
         let budget = protocol.params().suggested_budget();
         let mut rng = SimRng::seed_from_u64(derive_seed(0xC0111D, trial));
         let config = Scenario::DuplicateRanks(duplicates).generate(&protocol, &mut rng);
@@ -65,11 +101,10 @@ fn main() {
 
 /// Simulates the naive baseline: how many uniformly random ordered pairs are
 /// drawn until one of the `duplicates` designated agents meets its duplicate
-/// partner.
+/// partner (`1 <= duplicates <= n / 2`).
 fn simulate_direct_meeting(n: usize, duplicates: usize, seed: u64) -> u64 {
     use rand::RngCore;
     let mut rng = SimRng::seed_from_u64(seed);
-    let duplicates = duplicates.max(1);
     // Duplicate pairs: (i, n - duplicates + i) for i in 0..duplicates.
     let mut steps = 0u64;
     loop {

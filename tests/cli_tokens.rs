@@ -62,3 +62,27 @@ fn quickstart_rejects_bad_tokens_and_parameters() {
     assert!(stderr.contains("usage: quickstart"), "{stderr}");
     assert!(out.stdout.is_empty(), "quickstart ran anyway");
 }
+
+#[test]
+fn collision_detection_rejects_bad_tokens_and_parameters() {
+    let name = "collision_detection";
+    assert_rejected(name, &["16", "x4"], "x4");
+    assert_rejected(name, &["16", "4", "2", "1", "extra"], "extra");
+    // Duplicate pairs (i, n - d + i) exist only for 1 <= d <= n/2.
+    assert_rejected(name, &["16", "4", "16", "1"], "16");
+    assert_rejected(name, &["16", "4", "9", "1"], "9");
+    assert_rejected(name, &["16", "4", "0", "1"], "0");
+    // No trials would print a NaN mean.
+    assert_rejected(name, &["16", "4", "2", "0"], "0");
+    assert_rejected(name, &["16", "9"], "16 9");
+}
+
+#[test]
+fn adversarial_recovery_rejects_bad_tokens_and_parameters() {
+    let name = "adversarial_recovery";
+    assert_rejected(name, &["32", "x8"], "x8");
+    assert_rejected(name, &["32", "8", "-7"], "-7");
+    assert_rejected(name, &["32", "8", "7", "extra"], "extra");
+    assert_rejected(name, &["32", "17"], "32 17");
+    assert_rejected(name, &["2"], "2 8");
+}
