@@ -3,7 +3,9 @@
 //! Every experiment is a function from a [`Scale`] to a [`Table`]. The
 //! sub-modules group the experiments by theme:
 //!
-//! * [`tradeoff`] — E1 (time axis of Theorem 1.1) and E2 (space axis),
+//! * [`tradeoff`] — E1 (time axis of Theorem 1.1: stabilization time over
+//!   the `(n, r)` grid on the per-step engine, with slope fits in `n` and
+//!   in `r`) and E2 (space axis, along `r` at a fixed `n`),
 //! * [`reset`] — E3 (correctness after a full reset, Lemma 6.2) and E7 (soft
 //!   reset safety, Section 3.2),
 //! * [`recovery`] — E4 (recovery hierarchy, Lemma 6.3) and E5
@@ -12,8 +14,8 @@
 //! * [`substrate`] — E8 (epidemic constant and load balancing) and E9
 //!   (synthetic-coin quality, Appendix B),
 //! * [`scaling`] — E10 (batched vs per-step engine throughput at large `n`),
-//! * [`discovered`] — E11 (`ElectLeader_r` stabilization curves under the
-//!   batched engine via dynamic state indexing),
+//! * [`discovered`] — E11 (agreement of the count-based engines, run on
+//!   `ElectLeader_r` via dynamic state indexing, with the per-step engine),
 //! * [`fleet`] — F1 (trial-fleet throughput: trials/sec at 1 vs N worker
 //!   threads, with an inline bit-identity check on the aggregates),
 //! * [`profiling`] — P1 (engine instrumentation profile: ns/interaction by

@@ -73,8 +73,7 @@ impl Scale {
         }
     }
 
-    /// The `r` sweep used by the trade-off experiments (E1/E2/E5), as
-    /// divisors applied to [`Scale::fixed_n`].
+    /// The `r` sweep at [`Scale::fixed_n`] used by E2 and E5.
     pub fn r_values(self) -> Vec<usize> {
         let n = self.fixed_n();
         let mut values = vec![1, 2];
@@ -89,7 +88,8 @@ impl Scale {
         values
     }
 
-    /// The population sizes used by experiments that sweep `n` (E3/E6).
+    /// The population sizes used by experiments that sweep `n` (E1's
+    /// `(n, r)` grid, E3, E6).
     pub fn n_values(self) -> Vec<usize> {
         match self {
             Scale::Tiny => vec![8, 16],
@@ -162,27 +162,8 @@ impl Scale {
         engines
     }
 
-    /// The trade-off parameters the E11 surface sweep uses at population
-    /// size `n`: `r ∈ {1, ⌈ln n⌉, ⌈√n⌉, n/4}`, clamped into the theorem
-    /// range `1 ≤ r ≤ n/2`, deduplicated, ascending.
-    pub fn discovered_r_values(self, n: usize) -> Vec<usize> {
-        let nf = n as f64;
-        let mut values: Vec<usize> = [
-            1usize,
-            nf.ln().ceil() as usize,
-            nf.sqrt().ceil() as usize,
-            n / 4,
-        ]
-        .into_iter()
-        .map(|r| r.clamp(1, (n / 2).max(1)))
-        .collect();
-        values.sort_unstable();
-        values.dedup();
-        values
-    }
-
-    /// The population sizes of the E11 `ElectLeader_r` sweep under the
-    /// dynamically indexed batched engine.
+    /// The population sizes at which E11 runs `ElectLeader_r` under the
+    /// dynamically indexed count engines and the per-step engine.
     ///
     /// Far smaller than [`Scale::batched_n_values`]: `ElectLeader_r` states
     /// are *wide* (message stores of size `Θ(r²)`) and nearly every
@@ -193,30 +174,6 @@ impl Scale {
             Scale::Tiny => vec![12, 16],
             Scale::Quick => vec![16, 24, 32, 48],
             Scale::Full => vec![16, 24, 32, 48, 64, 96],
-        }
-    }
-
-    /// The largest population the E11 `r` trade-off surface sweeps the full
-    /// [`Scale::discovered_r_values`] grid at; beyond it only the fast-regime
-    /// ratio `r = n/4` runs. The slow `r = 1` cells cost `Θ(n² log n)`
-    /// interactions with a large constant, so the surface stops below the
-    /// `n`-sweep's top instead of letting one cell dominate the experiment.
-    pub fn discovered_surface_n_cap(self) -> usize {
-        match self {
-            Scale::Tiny => 16,
-            Scale::Quick => 32,
-            Scale::Full => 48,
-        }
-    }
-
-    /// The largest population the per-step engine cross-validates the E11
-    /// sweep at (stabilization-time distributions of the two engines are
-    /// compared at every overlap size).
-    pub fn discovered_per_step_n_cap(self) -> usize {
-        match self {
-            Scale::Tiny => 16,
-            Scale::Quick => 32,
-            Scale::Full => 64,
         }
     }
 
@@ -348,46 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn discovered_r_values_stay_in_the_theorem_range() {
-        for scale in [Scale::Tiny, Scale::Quick, Scale::Full] {
-            for &n in &scale.discovered_n_values() {
-                let rs = scale.discovered_r_values(n);
-                assert!(!rs.is_empty());
-                assert!(rs.iter().all(|&r| r >= 1 && r <= (n / 2).max(1)), "{rs:?}");
-                assert!(rs.windows(2).all(|w| w[0] < w[1]), "{rs:?}");
-                assert!(rs.contains(&1), "the space-frugal extreme must stay");
-                assert!(
-                    rs.contains(&((n / 4).clamp(1, n / 2))),
-                    "the fast regime must stay: {rs:?} for n = {n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn discovered_surface_cap_keeps_at_least_two_sweep_points() {
-        // The per-rule log–log slope fits need two points minimum.
-        for scale in [Scale::Tiny, Scale::Quick, Scale::Full] {
-            let cap = scale.discovered_surface_n_cap();
-            let covered = scale
-                .discovered_n_values()
-                .iter()
-                .filter(|&&n| n <= cap)
-                .count();
-            assert!(covered >= 2, "{scale:?}: only {covered} surface points");
-        }
-    }
-
-    #[test]
-    fn discovered_sweep_is_monotone_and_overlaps_with_per_step() {
+    fn discovered_sweep_is_monotone_and_admits_the_fast_ratio() {
         for scale in [Scale::Tiny, Scale::Quick, Scale::Full] {
             let ns = scale.discovered_n_values();
             assert!(ns.windows(2).all(|w| w[0] < w[1]), "{ns:?}");
-            let cap = scale.discovered_per_step_n_cap();
-            assert!(
-                ns.iter().any(|&n| n <= cap),
-                "at least one n must run under both engines for cross-validation"
-            );
             // Every sweep point admits the fast-regime ratio r = max(1, n/4)
             // within the theorem range 1 <= r <= n/2.
             assert!(ns.iter().all(|&n| (n / 4).max(1) <= n / 2));

@@ -227,7 +227,7 @@ fn print_usage() {
     );
     eprintln!("       experiments serve [--addr HOST:PORT] [--workers N] [--cache DIR]");
     eprintln!();
-    eprintln!("  e1  stabilization time vs r          (Theorem 1.1, time axis)");
+    eprintln!("  e1  stabilization time over (n, r)   (Theorem 1.1, time axis)");
     eprintln!("  e2  state-space size vs r            (Theorem 1.1, space axis)");
     eprintln!("  e3  stabilization after a full reset (Lemma 6.2)");
     eprintln!("  e4  recovery from adversarial starts (Lemma 6.3)");
@@ -237,7 +237,7 @@ fn print_usage() {
     eprintln!("  e8  epidemic & load-balancing substrate (Lemmas A.2, E.6)");
     eprintln!("  e9  synthetic-coin quality           (Appendix B)");
     eprintln!("  e10 engine scale sweep: batched vs multi-batch vs per-step at large n");
-    eprintln!("  e11 ElectLeader_r stabilization curves + r trade-off surface (dynamic indexing)");
+    eprintln!("  e11 engine agreement on ElectLeader_r: indexed count engines vs per-step");
     eprintln!("  fleet trial-fleet throughput: trials/sec at 1 vs N worker threads");
     eprintln!("  p1  engine instrumentation profile: ns/interaction by mode (telemetry spans)");
     eprintln!("  sweep deterministic epidemic sweep (timing-free; the service's native workload)");

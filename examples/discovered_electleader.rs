@@ -21,29 +21,41 @@ use std::time::Instant;
 const USAGE: &str =
     "usage: discovered_electleader [n] [r] [trials] [per-step|batched|multibatch|auto]";
 
+/// Prints `message` and the usage, and exits with status 2.
+fn reject(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    std::process::exit(2)
+}
+
 /// The `index`-th argument as parsed by `parse`, `None` when absent; a token
-/// `parse` rejects prints the usage and exits with status 2.
+/// `parse` rejects is rejected.
 fn arg<T>(args: &[String], index: usize, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
     let token = args.get(index)?;
-    Some(parse(token).unwrap_or_else(|| {
-        eprintln!("bad argument `{token}`\n{USAGE}");
-        std::process::exit(2)
-    }))
+    Some(parse(token).unwrap_or_else(|| reject(&format!("bad argument `{token}`"))))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(extra) = args.get(4) {
+        reject(&format!("unexpected argument `{extra}`"));
+    }
     let n: usize = arg(&args, 0, |a| a.parse().ok()).unwrap_or(48);
     let r: usize = arg(&args, 1, |a| a.parse().ok()).unwrap_or_else(|| (n / 4).max(1));
     let trials: u64 = arg(&args, 2, |a| a.parse().ok()).unwrap_or(3);
     let kind = arg(&args, 3, EngineKind::parse).unwrap_or(EngineKind::Batched);
+    if let Err(e) = ElectLeader::with_n_r(n, r) {
+        reject(&format!("invalid parameters `{n} {r}`: {e}"));
+    }
+    if trials == 0 {
+        reject("trials `0` must be at least 1");
+    }
 
     println!(
         "ElectLeader_{r} on n = {n} agents, {} engine via dynamic indexing",
         kind.label()
     );
     for trial in 0..trials {
-        let protocol = ElectLeader::with_n_r(n, r).expect("valid parameters");
+        let protocol = ElectLeader::with_n_r(n, r).expect("parameters checked above");
         let budget = protocol.params().suggested_budget();
         let discovered = DiscoveredProtocol::new(protocol);
         let handle = discovered.clone();

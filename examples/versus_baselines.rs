@@ -9,11 +9,21 @@
 use analysis::experiments::comparison::e6_versus_baselines;
 use analysis::Scale;
 
+const USAGE: &str = "usage: versus_baselines [tiny|quick|full]";
+
+/// Prints `message` and the usage, and exits with status 2.
+fn reject(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
-    let scale = Scale::from_arg(std::env::args().nth(1).as_deref()).unwrap_or_else(|why| {
-        eprintln!("{why}\nusage: versus_baselines [tiny|quick|full]");
-        std::process::exit(2);
-    });
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(extra) = args.get(1) {
+        reject(&format!("unexpected argument `{extra}`"));
+    }
+    let scale =
+        Scale::from_arg(args.first().map(String::as_str)).unwrap_or_else(|why| reject(&why));
     println!("Running the baseline comparison at {scale:?} scale…\n");
     let table = e6_versus_baselines(scale);
     println!("{}", table.to_markdown());

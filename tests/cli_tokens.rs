@@ -35,6 +35,18 @@ fn assert_rejected(name: &str, args: &[&str], token: &str) {
 fn scale_examples_reject_unknown_scales() {
     for name in ["tradeoff_sweep", "versus_baselines"] {
         assert_rejected(name, &["quik"], "quik");
+        assert_rejected(name, &["tiny", "extra"], "extra");
+    }
+}
+
+#[test]
+fn epidemic_examples_reject_bad_tokens_and_sizes() {
+    for name in ["adaptive_scale", "batched_scale"] {
+        assert_rejected(name, &["1e4"], "1e4");
+        assert_rejected(name, &["1000", "x7"], "x7");
+        assert_rejected(name, &["1000", "7", "extra"], "extra");
+        assert_rejected(name, &["0"], "0");
+        assert_rejected(name, &["1"], "1");
     }
 }
 
@@ -46,6 +58,14 @@ fn discovered_electleader_rejects_unknown_engines() {
         "perstep",
     );
     assert_rejected("discovered_electleader", &["4x8"], "4x8");
+}
+
+#[test]
+fn discovered_electleader_rejects_bad_parameters() {
+    let name = "discovered_electleader";
+    assert_rejected(name, &["16", "9"], "16 9");
+    assert_rejected(name, &["16", "4", "2", "batched", "extra"], "extra");
+    assert_rejected(name, &["16", "4", "0"], "0");
 }
 
 #[test]
