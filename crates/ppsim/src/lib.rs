@@ -48,8 +48,6 @@
 //! * [`digest`] — stable FNV-1a content digests ([`Fnv64`]): the hash behind
 //!   the fleet-determinism sample digest and the experiment service's
 //!   content-addressed result cache (`cache/<hex16>.json`),
-//! * [`adversary`] — combinators for arbitrary (adversarial) initial
-//!   configurations, as required for *self-stabilization* experiments,
 //! * [`epidemic`] — one-way/two-way epidemic protocols and measurement helpers
 //!   (the paper's Lemma A.2 workhorse),
 //! * [`coin`] — the synthetic-coin derandomization of the paper's Appendix B,
@@ -94,7 +92,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adversary;
 pub mod batched;
 pub mod coin;
 pub mod configuration;
@@ -117,7 +114,6 @@ pub mod simulation;
 pub mod stats;
 pub mod telemetry;
 
-pub use adversary::AdversarialInit;
 pub use batched::BatchSimulation;
 pub use coin::SyntheticCoin;
 pub use configuration::Configuration;

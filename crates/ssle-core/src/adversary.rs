@@ -211,11 +211,13 @@ pub fn corrupt_message_system(
             if governor == own_governor {
                 continue;
             }
-            for msg in active.msgs.messages_for_mut(governor) {
+            active.msgs.rewrite(governor, |msg| {
                 if rng.next_u32() % 2 == 0 {
-                    msg.set_content(1 + rng.next_u64() % (1 << 40));
+                    1 + rng.next_u64() % (1 << 40)
+                } else {
+                    msg.content()
                 }
-            }
+            });
         }
     }
 }
@@ -345,7 +347,6 @@ mod tests {
                 (0..a.msgs.group_size()).any(|g| {
                     a.msgs
                         .messages_for(g)
-                        .iter()
                         .any(|m| m.content() != crate::verify::INITIAL_CONTENT)
                 })
             }),

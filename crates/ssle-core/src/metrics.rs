@@ -16,7 +16,6 @@ use crate::groups::GroupPartition;
 use crate::params::Params;
 use crate::ranking::RankPhase;
 use crate::state::AgentState;
-use crate::verify::Message;
 use serde::Serialize;
 
 /// Bit-complexity breakdown of the `ElectLeader_r` state space for one
@@ -92,7 +91,10 @@ pub fn state_bits(params: &Params) -> StateBits {
 
 /// The *logical* per-agent footprint (in bytes) of one agent state as
 /// represented by this implementation: the inline `AgentState` plus its heap
-/// payloads — for a verifier, its message buffer and its observations array.
+/// payloads — for a verifier, its message IDs (4 bytes each), its class
+/// headers ([`CLASS_HEADER_BYTES`](crate::verify::CLASS_HEADER_BYTES) each) and its observations (8 bytes each).
+/// A fresh verifier of a size-`m` group holds `2m²` IDs in `m` classes and
+/// `2m²` observations: `24m² + 12m` bytes.
 ///
 /// This is the paper's state-size accounting, one agent at a time: a
 /// verifier's message store and observations are copy-on-write payloads that
@@ -114,8 +116,7 @@ pub fn measured_state_bytes(state: &AgentState) -> usize {
         }
         AgentState::Verifying(v) => {
             let dc = v.sv.dc.active().map_or(0, |active| {
-                active.msgs.total() * std::mem::size_of::<Message>()
-                    + active.observations.len() * std::mem::size_of::<u64>()
+                active.msgs.payload_bytes() + active.observations.len() * std::mem::size_of::<u64>()
             });
             base + dc
         }
@@ -126,6 +127,7 @@ pub fn measured_state_bytes(state: &AgentState) -> usize {
 mod tests {
     use super::*;
     use crate::elect_leader::ElectLeader;
+    use crate::verify::CLASS_HEADER_BYTES;
     use ppsim::stats::log_log_slope;
 
     #[test]
@@ -188,14 +190,15 @@ mod tests {
     #[test]
     fn fresh_verifier_payload_is_its_messages_and_observations() {
         // A fresh verifier holds 2m messages of each of its group's m
-        // governors and observes the 2m² IDs its own rank governs.
+        // governors, one content class per governor, and observes the 2m²
+        // IDs its own rank governs.
         let p = ElectLeader::with_n_r(32, 8).unwrap();
         let m = p.partition().group_size_of(3);
         let cells = 2 * m * m;
         let payload =
             measured_state_bytes(&p.verifier_state(3)) - std::mem::size_of::<AgentState>();
-        assert_eq!(std::mem::size_of::<Message>(), 8);
-        assert_eq!(payload, cells * std::mem::size_of::<Message>() + cells * 8);
+        assert_eq!(CLASS_HEADER_BYTES, 12);
+        assert_eq!(payload, cells * 4 + m * CLASS_HEADER_BYTES + cells * 8);
     }
 
     #[test]

@@ -9,22 +9,36 @@
 //! `observations` array recording the content it last wrote into each of its
 //! *own* messages.
 //!
-//! Layout: a store is one contiguous buffer of [`Message`]s sorted by
-//! `(governor, ID)` plus `m + 1` offsets, so the messages of governor `g` are
-//! the buffer range `offsets[g]..offsets[g + 1]`. The same-group kernel of
-//! `DetectCollision_r` therefore streams each store front to back. A message
-//! is one 8-byte word (19 ID bits over 45 content bits), which holds the
-//! IDs and signatures of every group of at most [`MAX_GROUP_SIZE`] ranks;
-//! `Params` rejects larger groups.
+//! Layout: a store is class-major. Protocol 14 splits messages per
+//! `(governor, content)` class, and a store holds few classes: when a clean
+//! `n = 256, r = 64` trial has stabilized, a store's `8192` messages fall
+//! into ~300 classes, ~4.8 per governor. So the store writes each content
+//! once per class, not once per message. Per governor, in governor order, it
+//! keeps one header per class in ascending content order, and each class's
+//! IDs as ascending `u32`s in one buffer. The layout is canonical (equal
+//! message sets give equal buffers), so `Eq` is set equality. IDs stay
+//! explicit: only the content is factored out.
 //!
-//! Sharing: the buffer with its offsets, and the observations array, are
-//! copy-on-write payloads. Cloning a store or an observations array (as the
-//! state interner, the support probe and `decode` do) bumps a reference
-//! count and shares the buffer; the first mutable access through one of the
-//! sharers copies it, except that a rebuild by the kernel starts a fresh
-//! buffer instead of copying one it is about to overwrite. Each payload also
-//! caches its content hash, so hashing a verifier state reads two cached
-//! words instead of its `4m²` message and observation words.
+//! Bytes: a held message costs its 4-byte ID, and a class costs a 12-byte
+//! header (an 8-byte content and the 4-byte end of its IDs). A fresh store
+//! of `2m²` messages in `m` classes takes `8m² + 12m` bytes, against `16m²`
+//! for one 8-byte [`Message`] word per message. The worst case is a store in
+//! which every message has a content of its own, as after
+//! `corrupt_message_system`: 4 bytes plus one header per message, 16 bytes,
+//! twice the 8 of a packed word. Contents and IDs keep the [`Message`]
+//! bounds, so [`MessageStore::messages_for`] can hand out packed words for
+//! every group of at most [`MAX_GROUP_SIZE`] ranks; `Params` rejects larger
+//! groups.
+//!
+//! Sharing: a store's buffers, and the observations array, are copy-on-write
+//! payloads. Cloning a store or an observations array (as the state
+//! interner, the support probe and `decode` do) bumps a reference count and
+//! shares the buffers; the first mutable access through one of the sharers
+//! copies them. The kernel writes each step's stores into buffers of its own
+//! and trades them for the buffers of unshared stores (a shared store gets
+//! an exact copy). Each payload also caches its content hash, so hashing a
+//! verifier state reads two cached words instead of its message and
+//! observation words.
 //!
 //! Sizing (for a group of size `m`): every rank governs `2m²` message IDs;
 //! the agent at in-group position `p` initially holds, for *every* governing
@@ -42,6 +56,10 @@ use std::sync::{Arc, OnceLock};
 
 /// The content value every message and observation starts with.
 pub const INITIAL_CONTENT: u64 = 1;
+
+/// Bytes of one class header in a [`MessageStore`]: an 8-byte content and a
+/// 4-byte end.
+pub const CLASS_HEADER_BYTES: usize = 12;
 
 /// A copy-on-write payload: a value behind an [`Arc`], plus its content hash
 /// ([`WordHash`]), computed on first use and cleared by every mutable access.
@@ -146,12 +164,11 @@ pub const MAX_ID: u32 = (1 << (64 - CONTENT_BITS)) - 1;
 pub const MAX_GROUP_SIZE: usize = 511;
 
 /// One circulating message held by an agent: its ID and current content.
-/// (The governor is implied by the position of the message inside the
+/// (The governor is implied by where the message is read from a
 /// [`MessageStore`].)
 ///
 /// Packed into one word: the ID in the high 19 bits, the content in the low
-/// 45. Word order is therefore `(ID, content)` order, and a store of `k`
-/// messages is `8k` bytes.
+/// 45. Word order is therefore `(ID, content)` order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Message(u64);
 
@@ -182,13 +199,6 @@ impl Message {
         self.0 & CONTENT_MASK
     }
 
-    /// The packed word: the ID above [`MAX_CONTENT`]'s bits, the content in
-    /// them.
-    #[inline]
-    pub(crate) fn word(self) -> u64 {
-        self.0
-    }
-
     /// Rewrites the content, keeping the ID.
     ///
     /// # Panics
@@ -196,12 +206,16 @@ impl Message {
     /// Panics if `content` exceeds [`MAX_CONTENT`].
     #[inline]
     pub fn set_content(&mut self, content: u64) {
-        assert!(
-            content <= MAX_CONTENT,
-            "message content {content} exceeds {MAX_CONTENT}"
-        );
+        check_content(content);
         self.0 = self.0 & !CONTENT_MASK | content;
     }
+}
+
+fn check_content(content: u64) {
+    assert!(
+        content <= MAX_CONTENT,
+        "message content {content} exceeds {MAX_CONTENT}"
+    );
 }
 
 impl fmt::Debug for Message {
@@ -213,40 +227,123 @@ impl fmt::Debug for Message {
     }
 }
 
-/// The sparse store of circulating messages held by one agent, organised per
-/// governing rank of the agent's group: one buffer of 8-byte [`Message`]s,
-/// governor by governor, each governor's run in ID order (which is word
-/// order, the ID being the high bits).
+/// The sparse store of circulating messages held by one agent, class-major:
+/// per governing rank of the agent's group, its content classes in ascending
+/// content order, each class's message IDs in ascending order.
 #[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MessageStore {
-    runs: Shared<Runs>,
+    classes: Shared<Classes>,
 }
 
 /// The payload of a [`MessageStore`].
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct Runs {
-    /// Every held message, sorted by governor and, within a governor, by ID.
-    messages: Vec<Message>,
-    /// `offsets[g]..offsets[g + 1]` is the run of governor `g` in `messages`:
-    /// `offsets[0] == 0`, non-decreasing, last entry `messages.len()`.
-    offsets: Vec<usize>,
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+struct Classes {
+    /// Every held message ID: governor by governor, each governor's classes
+    /// in ascending content order, each class's IDs ascending.
+    ids: Vec<u32>,
+    /// The class headers, in the same order: each class's content…
+    contents: Vec<u64>,
+    /// …and where its IDs end in `ids`. A class starts where the one before
+    /// ends; no class is empty.
+    ends: Vec<u32>,
+    /// `governors[g]..governors[g + 1]` are governor `g`'s classes.
+    governors: Vec<u32>,
     /// Number of IDs each governing rank owns (`2m²`).
     ids_per_rank: u32,
 }
 
-impl Runs {
+impl Classes {
+    /// Governor `g`'s classes, as indices of `contents` and `ends`.
     #[inline]
-    fn range(&self, governor: usize) -> Range<usize> {
-        self.offsets[governor]..self.offsets[governor + 1]
+    fn class_range(&self, governor: usize) -> Range<usize> {
+        self.governors[governor] as usize..self.governors[governor + 1] as usize
+    }
+
+    /// Where class `class` (or, past the last class, the end) starts in `ids`.
+    #[inline]
+    fn start(&self, class: usize) -> usize {
+        class
+            .checked_sub(1)
+            .map_or(0, |before| self.ends[before] as usize)
+    }
+
+    /// Governor `g`'s IDs, as a range of `ids`.
+    #[inline]
+    fn id_range(&self, governor: usize) -> Range<usize> {
+        let classes = self.class_range(governor);
+        self.start(classes.start)..self.start(classes.end)
+    }
+
+    #[inline]
+    fn class_ids(&self, class: usize) -> &[u32] {
+        &self.ids[self.start(class)..self.ends[class] as usize]
+    }
+
+    /// The class holding `(governor, id)` and the ID's index in `ids`.
+    fn find(&self, governor: usize, id: u32) -> Option<(usize, usize)> {
+        self.class_range(governor).find_map(|class| {
+            let index = self.class_ids(class).binary_search(&id).ok()?;
+            Some((class, self.start(class) + index))
+        })
+    }
+
+    /// Adds `delta` to the ends of the classes from `class` on.
+    fn shift_ends(&mut self, class: usize, delta: i32) {
+        for end in &mut self.ends[class..] {
+            *end = end.checked_add_signed(delta).expect("ends stay in range");
+        }
+    }
+
+    /// Adds `delta` to where the classes of each governor after `governor`
+    /// begin.
+    fn shift_governors(&mut self, governor: usize, delta: i32) {
+        for first in &mut self.governors[governor + 1..] {
+            *first = first
+                .checked_add_signed(delta)
+                .expect("class indices stay in range");
+        }
+    }
+
+    /// Whether the payload is in canonical form (checked in debug builds).
+    fn is_canonical(&self) -> bool {
+        let group_size = self.governors.len() - 1;
+        self.governors[0] == 0
+            && self.governors[group_size] as usize == self.contents.len()
+            && self.ends.len() == self.contents.len()
+            && self.ends.last().map_or(0, |&end| end as usize) == self.ids.len()
+            && (0..group_size).all(|g| {
+                let classes = self.class_range(g);
+                self.contents[classes.clone()]
+                    .windows(2)
+                    .all(|w| w[0] < w[1])
+                    && classes.into_iter().all(|class| {
+                        let ids = self.class_ids(class);
+                        !ids.is_empty() && ids.windows(2).all(|w| w[0] < w[1])
+                    })
+            })
+    }
+
+    /// The address and capacity of each of the four buffers.
+    #[cfg(test)]
+    fn buffers(&self) -> [(usize, usize); 4] {
+        [
+            (self.ids.as_ptr() as usize, self.ids.capacity()),
+            (self.contents.as_ptr() as usize, self.contents.capacity()),
+            (self.ends.as_ptr() as usize, self.ends.capacity()),
+            (self.governors.as_ptr() as usize, self.governors.capacity()),
+        ]
     }
 }
 
 impl fmt::Debug for MessageStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let classes = &self.classes;
         f.debug_struct("MessageStore")
-            .field("messages", &self.runs.messages)
-            .field("offsets", &self.runs.offsets)
-            .field("ids_per_rank", &self.runs.ids_per_rank)
+            .field("ids", &classes.ids)
+            .field("contents", &classes.contents)
+            .field("ends", &classes.ends)
+            .field("governors", &classes.governors)
+            .field("ids_per_rank", &classes.ids_per_rank)
             .finish()
     }
 }
@@ -255,7 +352,11 @@ impl MessageStore {
     /// Creates an empty store for a group of size `group_size` with
     /// `ids_per_rank` message IDs per governing rank.
     pub fn empty(group_size: usize, ids_per_rank: u32) -> Self {
-        Self::from_runs(Vec::new(), vec![0; group_size + 1], ids_per_rank)
+        Self::from_classes(Classes {
+            governors: vec![0; group_size + 1],
+            ids_per_rank,
+            ..Classes::default()
+        })
     }
 
     /// Creates the initial store of the agent at in-group position
@@ -275,177 +376,302 @@ impl MessageStore {
             start + block - 1
         };
         let per_governor = (start..=end).count();
-        let mut messages = Vec::with_capacity(group_size * per_governor);
+        // One class per governor, unless the block is empty.
+        let classes = usize::from(per_governor > 0);
+        let mut ids = Vec::with_capacity(group_size * per_governor);
         for _ in 0..group_size {
-            messages.extend((start..=end).map(|id| Message::new(id, INITIAL_CONTENT)));
+            ids.extend(start..=end);
         }
-        let offsets = (0..=group_size).map(|g| g * per_governor).collect();
-        Self::from_runs(messages, offsets, ids_per_rank)
+        Self::from_classes(Classes {
+            ids,
+            contents: vec![INITIAL_CONTENT; group_size * classes],
+            ends: (1..=group_size)
+                .filter(|_| classes > 0)
+                .map(|g| (g * per_governor) as u32)
+                .collect(),
+            governors: (0..=group_size).map(|g| (g * classes) as u32).collect(),
+            ids_per_rank,
+        })
     }
 
-    fn from_runs(messages: Vec<Message>, offsets: Vec<usize>, ids_per_rank: u32) -> Self {
+    fn from_classes(classes: Classes) -> Self {
+        debug_assert!(classes.is_canonical());
         MessageStore {
-            runs: Shared::new(Runs {
-                messages,
-                offsets,
-                ids_per_rank,
-            }),
+            classes: Shared::new(classes),
         }
     }
 
     /// The number of governing ranks (the group size).
     pub fn group_size(&self) -> usize {
-        self.runs.offsets.len() - 1
+        self.classes.governors.len() - 1
     }
 
     /// Number of message IDs per governing rank.
     pub fn ids_per_rank(&self) -> u32 {
-        self.runs.ids_per_rank
+        self.classes.ids_per_rank
     }
 
     /// Total number of messages currently held.
     pub fn total(&self) -> usize {
-        self.runs.messages.len()
+        self.classes.ids.len()
+    }
+
+    /// Total number of content classes, over all governors.
+    pub fn class_count(&self) -> usize {
+        self.classes.contents.len()
+    }
+
+    /// The bytes the held messages take: 4 per ID plus
+    /// [`CLASS_HEADER_BYTES`] per class.
+    pub fn payload_bytes(&self) -> usize {
+        self.total() * std::mem::size_of::<u32>() + self.class_count() * CLASS_HEADER_BYTES
     }
 
     /// Number of messages governed by the rank at in-group position `g`.
     #[inline]
     pub fn count_for(&self, governor: usize) -> usize {
-        self.runs.range(governor).len()
+        self.classes.id_range(governor).len()
     }
 
-    /// The messages governed by in-group position `governor`, sorted by ID.
+    /// The content classes of `governor`: each class's content with its IDs,
+    /// by ascending content, each class's IDs ascending.
     #[inline]
-    pub fn messages_for(&self, governor: usize) -> &[Message] {
-        &self.runs.messages[self.runs.range(governor)]
+    pub fn classes_for(&self, governor: usize) -> impl Iterator<Item = (u64, &[u32])> + '_ {
+        let classes = &*self.classes;
+        classes
+            .class_range(governor)
+            .map(move |class| (classes.contents[class], classes.class_ids(class)))
     }
 
-    /// Mutable access to the messages governed by `governor`. Copies the
-    /// store first if it is shared, so take the slice once per governor, not
-    /// once per message.
+    /// The messages governed by in-group position `governor`, class by
+    /// class: by ascending content, then by ascending ID.
+    pub fn messages_for(&self, governor: usize) -> impl Iterator<Item = Message> + '_ {
+        self.classes_for(governor)
+            .flat_map(|(content, ids)| ids.iter().map(move |&id| Message::new(id, content)))
+    }
+
+    /// Every ID of `governor`, class by class.
     #[inline]
-    pub fn messages_for_mut(&mut self, governor: usize) -> &mut [Message] {
-        let runs = self.runs.make_mut();
-        let range = runs.range(governor);
-        &mut runs.messages[range]
+    pub(crate) fn ids_for(&self, governor: usize) -> &[u32] {
+        &self.classes.ids[self.classes.id_range(governor)]
     }
 
     /// The content of the message `(governor, id)` if held.
     pub fn content(&self, governor: usize, id: u32) -> Option<u64> {
-        let v = self.messages_for(governor);
-        v.binary_search_by_key(&id, |m| m.id())
-            .ok()
-            .map(|idx| v[idx].content())
+        let (class, _) = self.classes.find(governor, id)?;
+        Some(self.classes.contents[class])
     }
 
     /// Inserts or overwrites the message `(governor, id)` with `content`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` lies outside `1..=ids_per_rank` or `content` exceeds
+    /// [`MAX_CONTENT`].
     pub fn insert(&mut self, governor: usize, id: u32, content: u64) {
-        let runs = self.runs.make_mut();
-        let start = runs.offsets[governor];
-        let msg = Message::new(id, content);
-        match runs.messages[runs.range(governor)].binary_search_by_key(&id, |m| m.id()) {
-            Ok(idx) => runs.messages[start + idx] = msg,
-            Err(idx) => {
-                runs.messages.insert(start + idx, msg);
-                for offset in &mut runs.offsets[governor + 1..] {
-                    *offset += 1;
-                }
+        let ids_per_rank = self.ids_per_rank();
+        assert!(
+            (1..=ids_per_rank).contains(&id),
+            "message id {id} outside 1..={ids_per_rank}"
+        );
+        check_content(content);
+        self.remove(governor, id);
+        let c = self.classes.make_mut();
+        let classes = c.class_range(governor);
+        let class = match c.contents[classes.clone()].binary_search(&content) {
+            Ok(k) => classes.start + k,
+            Err(k) => {
+                // A new, still empty class.
+                let class = classes.start + k;
+                let start = c.start(class) as u32;
+                c.contents.insert(class, content);
+                c.ends.insert(class, start);
+                c.shift_governors(governor, 1);
+                class
             }
-        }
+        };
+        let at = c.start(class) + c.class_ids(class).partition_point(|&held| held < id);
+        c.ids.insert(at, id);
+        c.shift_ends(class, 1);
+        debug_assert!(c.is_canonical());
     }
 
     /// Removes the message `(governor, id)`, returning its content if it was
     /// held.
     pub fn remove(&mut self, governor: usize, id: u32) -> Option<u64> {
-        let idx = self
-            .messages_for(governor)
-            .binary_search_by_key(&id, |m| m.id())
-            .ok()?;
-        let runs = self.runs.make_mut();
-        for offset in &mut runs.offsets[governor + 1..] {
-            *offset -= 1;
+        let (class, at) = self.classes.find(governor, id)?;
+        let c = self.classes.make_mut();
+        let content = c.contents[class];
+        c.ids.remove(at);
+        c.shift_ends(class, -1);
+        if c.start(class) == c.ends[class] as usize {
+            c.contents.remove(class);
+            c.ends.remove(class);
+            c.shift_governors(governor, -1);
         }
-        Some(runs.messages.remove(runs.offsets[governor] + idx).content())
+        debug_assert!(c.is_canonical());
+        Some(content)
+    }
+
+    /// Rewrites every message of `governor` to `content`, so the governor
+    /// holds one class (Protocol 13), and returns its IDs, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `content` exceeds [`MAX_CONTENT`].
+    pub fn stamp(&mut self, governor: usize, content: u64) -> &[u32] {
+        check_content(content);
+        let c = self.classes.make_mut();
+        let classes = c.class_range(governor);
+        let ids = c.id_range(governor);
+        if classes.len() > 1 {
+            c.ids[ids.clone()].sort_unstable();
+            c.contents.drain(classes.start + 1..classes.end);
+            c.ends.drain(classes.start..classes.end - 1);
+            c.shift_governors(governor, 1 - classes.len() as i32);
+        }
+        if !classes.is_empty() {
+            c.contents[classes.start] = content;
+        }
+        debug_assert!(c.is_canonical());
+        &c.ids[ids]
+    }
+
+    /// Rewrites the content of every message of `governor` to
+    /// `content_of(message)`, visiting the messages by ascending ID (the
+    /// order in which an adversary draws per message).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a new content exceeds [`MAX_CONTENT`].
+    pub fn rewrite(&mut self, governor: usize, mut content_of: impl FnMut(Message) -> u64) {
+        let mut messages: Vec<Message> = self.messages_for(governor).collect();
+        messages.sort_unstable();
+        for msg in &mut messages {
+            msg.set_content(content_of(*msg));
+        }
+        messages.sort_unstable_by_key(|msg| (msg.content(), msg.id()));
+        let c = self.classes.make_mut();
+        let (classes, ids) = (c.class_range(governor), c.id_range(governor));
+        let mut end = ids.start as u32;
+        let (mut contents, mut ends) = (Vec::new(), Vec::new());
+        for class in messages.chunk_by(|a, b| a.content() == b.content()) {
+            end += class.len() as u32;
+            contents.push(class[0].content());
+            ends.push(end);
+        }
+        c.shift_governors(governor, contents.len() as i32 - classes.len() as i32);
+        c.ids.splice(ids, messages.iter().map(|msg| msg.id()));
+        c.contents.splice(classes.clone(), contents);
+        c.ends.splice(classes, ends);
+        debug_assert!(c.is_canonical());
     }
 
     /// Whether this store and `other` both hold a message with the same
-    /// `(governor, ID)` pair — the "two copies of the same circulating
-    /// message" collision proof of Protocol 3, line 3.
+    /// `(governor, ID)` pair, whatever its contents — the "two copies of the
+    /// same circulating message" collision proof of Protocol 3, line 3.
     pub fn shares_message_with(&self, other: &MessageStore) -> bool {
-        for governor in 0..self.group_size().min(other.group_size()) {
-            let (a, b) = (self.messages_for(governor), other.messages_for(governor));
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                match a[i].id().cmp(&b[j].id()) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => return true,
-                }
-            }
-        }
-        false
+        super::detect_collision::shares_a_message(self, other)
     }
 
     /// Per-governor message counts, used by tests and by the load-balancing
     /// experiments.
     pub fn counts(&self) -> Vec<usize> {
-        self.runs.offsets.windows(2).map(|w| w[1] - w[0]).collect()
+        (0..self.group_size()).map(|g| self.count_for(g)).collect()
     }
 
-    /// Starts rewriting the store from scratch with at most `len` messages.
-    /// An unshared store is emptied, reusing its buffer when it is large
-    /// enough and else allocating exactly what the rebuild needs, so a store
-    /// never holds more spare capacity than its own largest size left
-    /// behind. A shared store is not copied: the rebuild writes a buffer of
-    /// its own. Append every governor's messages in turn through
-    /// [`Rebuild::extend`], close each run with [`Rebuild::close`], and
-    /// finish with [`Rebuild::end`].
-    pub(crate) fn begin_rebuild(&mut self, len: usize) -> Rebuild<'_> {
-        let (group_size, ids_per_rank) = (self.group_size(), self.ids_per_rank());
-        if self.runs.is_shared() {
-            *self = Self::from_runs(Vec::new(), vec![0; group_size + 1], ids_per_rank);
+    /// Replaces this store's messages with those `writer` holds. An unshared
+    /// store trades its buffers for the writer's, which the writer reuses
+    /// for the next store it writes; a shared store gets an exact copy.
+    pub(crate) fn replace_with(&mut self, writer: &mut StoreWriter) {
+        debug_assert!(writer.0.is_canonical());
+        if self.classes.is_shared() {
+            self.classes = Shared::new(writer.0.clone());
+        } else {
+            std::mem::swap(self.classes.make_mut(), &mut writer.0);
         }
-        let runs = self.runs.make_mut();
-        runs.messages.clear();
-        if runs.messages.capacity() < len {
-            runs.messages = Vec::with_capacity(len);
-        }
-        Rebuild(runs)
+    }
+
+    /// The address and capacity of each of the store's buffers.
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> [(usize, usize); 4] {
+        self.classes.buffers()
     }
 }
 
-/// A [`MessageStore`] being rewritten run by run; see
-/// [`MessageStore::begin_rebuild`].
-pub(crate) struct Rebuild<'a>(&'a mut Runs);
+/// A store being written class by class: governors in order, each
+/// governor's classes by ascending content, each from two ascending ID lists.
+/// [`MessageStore::replace_with`] hands the result to a store.
+#[derive(Default)]
+pub(crate) struct StoreWriter(Classes);
 
-impl Rebuild<'_> {
-    /// Appends `messages` to the run being written. A run is filled by
-    /// increasing ID.
+impl StoreWriter {
+    /// Starts an empty store with room for `ids` messages in `classes`
+    /// classes, reusing the buffers when they are large enough and else
+    /// allocating exactly that much.
+    pub(crate) fn begin(
+        &mut self,
+        group_size: usize,
+        ids_per_rank: u32,
+        ids: usize,
+        classes: usize,
+    ) {
+        let c = &mut self.0;
+        c.ids.clear();
+        c.contents.clear();
+        c.ends.clear();
+        c.governors.clear();
+        c.ids.reserve_exact(ids);
+        c.contents.reserve_exact(classes);
+        c.ends.reserve_exact(classes);
+        c.governors.reserve_exact(group_size + 1);
+        c.governors.push(0);
+        c.ids_per_rank = ids_per_rank;
+    }
+
+    /// Appends a class of `content` holding the IDs of `a` and `b`, two
+    /// ascending lists with no ID in common. Nothing is written if both are
+    /// empty.
     #[inline]
-    pub(crate) fn extend(&mut self, messages: &[Message]) {
-        self.0.messages.extend_from_slice(messages);
+    pub(crate) fn push_class(&mut self, content: u64, a: &[u32], b: &[u32]) {
+        if a.is_empty() && b.is_empty() {
+            return;
+        }
+        let c = &mut self.0;
+        merge_into(&mut c.ids, a, b);
+        c.contents.push(content);
+        c.ends.push(c.ids.len() as u32);
     }
 
-    /// Ends the run of `governor` (governors go in increasing order) after
-    /// the messages appended so far.
+    /// Ends the current governor's classes.
     #[inline]
-    pub(crate) fn close(&mut self, governor: usize) {
-        let runs = &mut *self.0;
-        runs.offsets[governor + 1] = runs.messages.len();
+    pub(crate) fn close_governor(&mut self) {
+        let c = &mut self.0;
+        c.governors.push(c.contents.len() as u32);
     }
 
-    /// Finishes the rebuild; every governor's run must have been closed.
-    pub(crate) fn end(self) {
-        let runs = self.0;
-        let group_size = runs.offsets.len() - 1;
-        debug_assert_eq!(runs.offsets[group_size], runs.messages.len());
-        debug_assert!(
-            (0..group_size).all(|g| runs.messages[runs.range(g)]
-                .windows(2)
-                .all(|w| w[0].id() < w[1].id())),
-            "runs must be written by strictly increasing ID"
-        );
+    /// The address and capacity of each of the writer's buffers.
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> [(usize, usize); 4] {
+        self.0.buffers()
     }
+}
+
+/// Appends the merge of the ascending lists `a` and `b` to `out`.
+#[inline]
+fn merge_into(out: &mut Vec<u32>, a: &[u32], b: &[u32]) {
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        if x < y {
+            out.push(x);
+            i += 1;
+        } else {
+            out.push(y);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 /// The dense `observations` array of an agent: `observations[id - 1]` is the
@@ -605,7 +831,7 @@ mod tests {
         assert_eq!(s.remove(0, 3), None);
         assert_eq!(s.total(), 2);
         // Messages stay sorted by id, and the other governor is untouched.
-        let ids: Vec<u32> = s.messages_for(0).iter().map(|m| m.id()).collect();
+        let ids: Vec<u32> = s.messages_for(0).map(|m| m.id()).collect();
         assert_eq!(ids, vec![1]);
         assert_eq!(s.counts(), vec![1, 1]);
         assert_eq!(s.content(1, 3), Some(7));
@@ -618,7 +844,8 @@ mod tests {
         let initial = MessageStore::initial(3, 18, 1);
         let mut built = MessageStore::empty(3, 18);
         for governor in (0..3).rev() {
-            for msg in initial.messages_for(governor).iter().rev() {
+            let held: Vec<Message> = initial.messages_for(governor).collect();
+            for msg in held.into_iter().rev() {
                 built.insert(governor, msg.id(), msg.content());
             }
         }
@@ -668,10 +895,8 @@ mod tests {
         let shared = store.clone();
         assert_eq!(
             format!("{shared:?}"),
-            "MessageStore { messages: [Message { id: 1, content: 9 }, \
-             Message { id: 3, content: 1 }, Message { id: 4, content: 1 }, \
-             Message { id: 3, content: 1 }, Message { id: 4, content: 1 }], \
-             offsets: [0, 3, 5], ids_per_rank: 4 }"
+            "MessageStore { ids: [3, 4, 1, 3, 4], contents: [1, 9, 1], \
+             ends: [2, 3, 5], governors: [0, 2, 3], ids_per_rank: 4 }"
         );
         assert_eq!(
             format!("{:?}", Observations::initial(2)),
@@ -730,9 +955,9 @@ mod tests {
                     return;
                 };
                 verifiers += 1;
-                let (ptr, runs, hash) = payload(&dc.msgs.runs);
+                let (ptr, classes, hash) = payload(&dc.msgs.classes);
                 if let Some(hash) = hash {
-                    assert_eq!(hash, WordHash.hash_one(runs), "stale store hash");
+                    assert_eq!(hash, WordHash.hash_one(classes), "stale store hash");
                 }
                 stores.insert(ptr);
                 let (ptr, values, hash) = payload(&dc.observations.values);

@@ -34,7 +34,8 @@ pub use detect_collision::{
     CollisionState, DetectCollisionState,
 };
 pub use messages::{
-    Message, MessageStore, Observations, INITIAL_CONTENT, MAX_CONTENT, MAX_GROUP_SIZE, MAX_ID,
+    Message, MessageStore, Observations, CLASS_HEADER_BYTES, INITIAL_CONTENT, MAX_CONTENT,
+    MAX_GROUP_SIZE, MAX_ID,
 };
 
 /// Number of generations counted modulo (the paper fixes 6).

@@ -2,10 +2,12 @@
 //! paper's Protocols 3 and 12–14: on random same-group pairs of warmed
 //! groups — plain steps, forced signature refreshes, contents of many classes,
 //! planted duplicates, inconsistent contents, equal ranks, `⊤` partners and
-//! cross-group pairs, a governor held by one agent only — the kernel must
-//! leave both states exactly as the transcription does and draw exactly as
-//! much randomness. One group is warmed long enough to fragment its stores
-//! into many content runs, some of which span both agents' messages.
+//! cross-group pairs, a governor held by one agent only, one message held
+//! by both agents under different contents, stores in which every message
+//! has a content of its own — the kernel must leave both states exactly as
+//! the transcription does and draw exactly as much randomness. One group is
+//! warmed long enough to fragment its stores into many content runs, some of
+//! which span both agents' messages.
 //!
 //! Message stores and observations are copy-on-write payloads shared between
 //! clones, so the file also checks that stepping clones leaves the originals
@@ -75,7 +77,6 @@ fn shares_a_message(u: &CollisionState, v: &CollisionState) -> bool {
     (0..u.msgs.group_size()).any(|g| {
         u.msgs
             .messages_for(g)
-            .iter()
             .any(|msg| v.msgs.content(g, msg.id()).is_some())
     })
 }
@@ -91,7 +92,6 @@ fn inconsistent(
     other
         .msgs
         .messages_for(g)
-        .iter()
         .any(|msg| msg.content() != owner.observations.get(msg.id()))
 }
 
@@ -111,23 +111,13 @@ fn update(
     if owner.counter >= params.signature_period(m) {
         owner.signature = 1 + ctx.sample_below(params.signature_space(m));
         owner.counter = 1;
-        let held: Vec<u32> = owner
-            .msgs
-            .messages_for(g)
-            .iter()
-            .map(|msg| msg.id())
-            .collect();
+        let held: Vec<u32> = owner.msgs.messages_for(g).map(|msg| msg.id()).collect();
         for id in held {
             owner.msgs.insert(g, id, owner.signature);
             owner.observations.set(id, owner.signature);
         }
     }
-    let held: Vec<u32> = other
-        .msgs
-        .messages_for(g)
-        .iter()
-        .map(|msg| msg.id())
-        .collect();
+    let held: Vec<u32> = other.msgs.messages_for(g).map(|msg| msg.id()).collect();
     for id in held {
         other.msgs.insert(g, id, owner.signature);
         owner.observations.set(id, owner.signature);
@@ -142,8 +132,8 @@ fn balance(u: &mut CollisionState, v: &mut CollisionState) {
     let mut shares: [(Vec<Vec<Message>>, usize); 2] =
         [(vec![Vec::new(); m], 0), (vec![Vec::new(); m], 0)];
     for g in 0..m {
-        let mut pool: Vec<Message> = u.msgs.messages_for(g).to_vec();
-        pool.extend_from_slice(v.msgs.messages_for(g));
+        let mut pool: Vec<Message> = u.msgs.messages_for(g).collect();
+        pool.extend(v.msgs.messages_for(g));
         pool.sort_by_key(|msg| (msg.content(), msg.id()));
         for class in pool.chunk_by(|a, b| a.content() == b.content()) {
             let (floor, ceil) = class.split_at(class.len() / 2);
@@ -225,15 +215,16 @@ fn active(dc: &mut DetectCollisionState) -> &mut CollisionState {
 
 /// Rewrites to a fresh random content about half of the messages `state`
 /// holds of every governor except `skip`, as an adversary might. Contents
-/// span the whole packed range `1..=MAX_CONTENT`, so the high content bits
-/// next to the ID bits are exercised too.
+/// span the whole range `1..=MAX_CONTENT`.
 fn scramble(state: &mut CollisionState, skip: [usize; 2], rng: &mut SimRng) {
     for g in (0..state.msgs.group_size()).filter(|g| !skip.contains(g)) {
-        for msg in state.msgs.messages_for_mut(g) {
+        state.msgs.rewrite(g, |msg| {
             if rng.next_u32() % 2 == 0 {
-                msg.set_content(1 + rng.next_u64() % MAX_CONTENT);
+                1 + rng.next_u64() % MAX_CONTENT
+            } else {
+                msg.content()
             }
-        }
+        });
     }
 }
 
@@ -247,7 +238,7 @@ fn warmed_groups_have_the_sizes_and_content_classes_under_test() {
             .map(|s| {
                 let msgs = &s.active().unwrap().msgs;
                 let mut contents: Vec<u64> = (0..m)
-                    .flat_map(|g| msgs.messages_for(g).iter().map(|msg| msg.content()))
+                    .flat_map(|g| msgs.messages_for(g).map(|msg| msg.content()))
                     .collect();
                 contents.sort_unstable();
                 contents.dedup();
@@ -264,7 +255,7 @@ fn warmed_groups_have_the_sizes_and_content_classes_under_test() {
 fn merged_content_runs(u: &CollisionState, v: &CollisionState, g: usize) -> Vec<(bool, bool)> {
     let mut pool: Vec<(u32, u64, bool)> = Vec::new();
     for (s, from_u) in [(u, true), (v, false)] {
-        let held = s.msgs.messages_for(g).iter();
+        let held = s.msgs.messages_for(g);
         pool.extend(held.map(|msg| (msg.id(), msg.content(), from_u)));
     }
     pool.sort_unstable();
@@ -333,16 +324,20 @@ proptest! {
             3 => {
                 // A planted copy of one of u's messages in v's store.
                 let g = (pick.next_u64() % m as u64) as usize;
-                let held = active(&mut u).msgs.messages_for(g).to_vec();
+                let held: Vec<Message> = active(&mut u).msgs.messages_for(g).collect();
                 let msg = held[(pick.next_u64() % held.len() as u64) as usize];
                 active(&mut v).msgs.insert(g, msg.id(), msg.content());
             }
             4 => {
-                // v holds one of u's messages with a content u never wrote.
-                let msgs = active(&mut v).msgs.messages_for_mut(gu);
-                let k = (pick.next_u64() % msgs.len() as u64) as usize;
-                let content = msgs[k].content();
-                msgs[k].set_content(content + 1);
+                // v holds one of u's messages with a content u never wrote:
+                // its `k`-th by ID.
+                let msgs = &mut active(&mut v).msgs;
+                let k = pick.next_u64() % msgs.count_for(gu) as u64;
+                let mut at = 0;
+                msgs.rewrite(gu, |msg| {
+                    at += 1;
+                    msg.content() + u64::from(at - 1 == k)
+                });
             }
             5 => v_rank = u_rank,
             6 => v = DetectCollisionState::Error,
@@ -356,7 +351,7 @@ proptest! {
                     (&mut v, &mut u)
                 };
                 let (from, to) = (active(from), active(to));
-                for msg in from.msgs.messages_for(g).to_vec() {
+                for msg in from.msgs.messages_for(g).collect::<Vec<_>>() {
                     from.msgs.remove(g, msg.id());
                     to.msgs.insert(g, msg.id(), msg.content());
                 }
@@ -388,6 +383,150 @@ proptest! {
         prop_assert_eq!(kernel_rng.next_u64(), reference_rng.next_u64());
         let expect_error = matches!(case, 3..=6);
         prop_assert_eq!(u.is_error() || v.is_error(), expect_error, "case {}", case);
+    }
+}
+
+/// Runs one step of the kernel and of the transcription on clones of
+/// `(u, v)` from the same seed, checks that they agree, and returns the
+/// kernel's result.
+fn step_both(
+    w: &Warmed,
+    (u_rank, v_rank): (u32, u32),
+    (u, v): (&DetectCollisionState, &DetectCollisionState),
+    seed: u64,
+) -> (DetectCollisionState, DetectCollisionState) {
+    let (mut u, mut v) = (u.clone(), v.clone());
+    let (mut ref_u, mut ref_v) = (u.clone(), v.clone());
+    let mut kernel_rng = SimRng::seed_from_u64(seed);
+    let mut reference_rng = SimRng::seed_from_u64(seed);
+    detect_collision(
+        &w.params,
+        &w.partition,
+        u_rank,
+        &mut u,
+        v_rank,
+        &mut v,
+        &mut InteractionCtx::new(&mut kernel_rng, 0),
+    );
+    reference_detect_collision(
+        &w.params,
+        &w.partition,
+        u_rank,
+        &mut ref_u,
+        v_rank,
+        &mut ref_v,
+        &mut InteractionCtx::new(&mut reference_rng, 0),
+    );
+    assert!(u == ref_u && v == ref_v, "kernel and transcription differ");
+    assert_eq!(kernel_rng.next_u64(), reference_rng.next_u64());
+    (u, v)
+}
+
+/// Protocol 3 sees a `(governor, ID)` pair held by both agents even when
+/// they hold it under different contents, in a governor neither owns (so
+/// Protocol 12 cannot catch it): both agents go to `⊤`.
+#[test]
+fn a_message_held_under_two_contents_is_a_collision() {
+    for w in warmed() {
+        let m = w.ranks.len();
+        let mut pick = SimRng::seed_from_u64(0xD0 ^ m as u64);
+        for case in 0..8 {
+            let (i, j) = distinct_pair(&mut pick, m);
+            let g = (0..m).find(|g| ![i, j].contains(g)).expect("m ≥ 3");
+            let (u, mut v) = (w.states[i].clone(), w.states[j].clone());
+            let held: Vec<Message> = u.active().unwrap().msgs.messages_for(g).collect();
+            let msg = held[(pick.next_u64() % held.len() as u64) as usize];
+            // Under a content v already holds for `g`, if it holds another.
+            let msgs = &mut active(&mut v).msgs;
+            let content = msgs
+                .classes_for(g)
+                .map(|(content, _)| content)
+                .find(|&content| content != msg.content())
+                .unwrap_or(msg.content() + 1);
+            msgs.insert(g, msg.id(), content);
+            let ranks = (w.ranks[i], w.ranks[j]);
+            let (u, v) = step_both(w, ranks, (&u, &v), case);
+            assert!(u.is_error() && v.is_error(), "m {m}, case {case}");
+        }
+    }
+}
+
+/// A store in which every message has a content of its own, as after
+/// `corrupt_message_system`, holds one class per message, 16 bytes each. It
+/// round-trips through `insert`, `remove` and `messages_for`, and the kernel
+/// steps such stores as the transcription does.
+#[test]
+fn a_store_of_distinct_contents_round_trips() {
+    let (m, ids) = (5, 50);
+    let mut rng = SimRng::seed_from_u64(0x5EED);
+    let mut expected: Vec<(usize, u32, u64)> = Vec::new();
+    let mut content = 0;
+    for g in 0..m {
+        for id in 1..=ids {
+            if rng.next_u32() % 2 == 0 {
+                content += 1 + rng.next_u64() % 1000;
+                expected.push((g, id, content));
+            }
+        }
+    }
+    // Inserted in a random order.
+    let mut order = expected.clone();
+    for k in (1..order.len()).rev() {
+        order.swap(k, (rng.next_u64() % (k as u64 + 1)) as usize);
+    }
+    let mut store = MessageStore::empty(m, ids);
+    for &(g, id, content) in &order {
+        store.insert(g, id, content);
+    }
+    let held = |store: &MessageStore| {
+        let mut held: Vec<(usize, u32, u64)> = (0..m)
+            .flat_map(|g| {
+                store
+                    .messages_for(g)
+                    .map(move |msg| (g, msg.id(), msg.content()))
+            })
+            .collect();
+        held.sort_unstable();
+        held
+    };
+    assert_eq!(held(&store), expected);
+    assert_eq!(store.class_count(), expected.len());
+    assert_eq!(store.payload_bytes(), 16 * expected.len());
+    // Removing every other message leaves the store built from the rest.
+    let mut rest = MessageStore::empty(m, ids);
+    for (k, &(g, id, content)) in order.iter().enumerate() {
+        if k % 2 == 0 {
+            assert_eq!(store.remove(g, id), Some(content));
+            assert_eq!(store.content(g, id), None);
+        } else {
+            rest.insert(g, id, content);
+        }
+    }
+    assert_eq!(store, rest);
+    assert_eq!(store.class_count(), store.total());
+
+    // Every message outside the two owners' governors gets a content of its
+    // own, then one step.
+    for w in warmed() {
+        let m = w.ranks.len();
+        let (mut u, mut v) = (w.states[0].clone(), w.states[1].clone());
+        let mut next = MAX_CONTENT;
+        for state in [&mut u, &mut v] {
+            let msgs = &mut active(state).msgs;
+            for g in 2..m {
+                msgs.rewrite(g, |_| {
+                    next -= 1;
+                    next
+                });
+            }
+            let owned: usize = (0..2).map(|g| msgs.classes_for(g).count()).sum();
+            assert_eq!(
+                msgs.class_count(),
+                owned + (2..m).map(|g| msgs.count_for(g)).sum::<usize>()
+            );
+        }
+        let (u, v) = step_both(w, (w.ranks[0], w.ranks[1]), (&u, &v), m as u64);
+        assert!(!u.is_error() && !v.is_error(), "m {m}");
     }
 }
 
@@ -552,18 +691,34 @@ fn mutation_never_leaves_a_stale_hash() {
         let fresh = |dc: &DetectCollisionState| indexer_hash(&deep_copy(dc));
         let before = indexer_hash(&base);
         assert_eq!(before, fresh(&base));
-        let first = base.active().unwrap().msgs.messages_for(0)[0];
+        let mut held: Vec<Message> = base.active().unwrap().msgs.messages_for(0).collect();
+        let first = held[0];
+        // By ID, to look contents up when undoing the stamp.
+        held.sort_unstable();
         type Edit = Box<dyn Fn(&mut CollisionState, bool)>;
-        let edits: [(&str, Edit); 5] = [
+        let edits: [(&str, Edit); 6] = [
             (
-                "messages_for_mut",
-                Box::new(|s, undo| {
-                    let msg = &mut s.msgs.messages_for_mut(0)[0];
-                    msg.set_content(if undo {
-                        msg.content() - 1
+                "rewrite",
+                Box::new(move |s, undo| {
+                    s.msgs
+                        .rewrite(0, |msg| match (msg.id() == first.id(), undo) {
+                            (false, _) => msg.content(),
+                            (true, false) => msg.content() + 1,
+                            (true, true) => msg.content() - 1,
+                        });
+                }),
+            ),
+            (
+                "stamp",
+                Box::new(move |s, undo| {
+                    if undo {
+                        s.msgs.rewrite(0, |msg| {
+                            let at = held.binary_search_by_key(&msg.id(), |m| m.id());
+                            held[at.expect("held before")].content()
+                        });
                     } else {
-                        msg.content() + 1
-                    });
+                        s.msgs.stamp(0, MAX_CONTENT);
+                    }
                 }),
             ),
             (

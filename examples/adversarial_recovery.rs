@@ -6,40 +6,21 @@
 //! cargo run --release --example adversarial_recovery -- [n] [r] [seed]
 //! ```
 
+use harness::Cli;
 use ppsim::simulation::StabilizationOptions;
 use ppsim::{SimRng, Simulation};
 use ssle_core::{classify, output, ElectLeader, Scenario};
 
 const USAGE: &str = "usage: adversarial_recovery [n] [r] [seed]";
 
-/// Prints `message` and the usage, and exits with status 2.
-fn reject(message: &str) -> ! {
-    eprintln!("{message}\n{USAGE}");
-    std::process::exit(2)
-}
-
-/// The `index`-th argument parsed, `None` when absent; an unparsable token
-/// is rejected.
-fn arg<T: std::str::FromStr>(args: &[String], index: usize) -> Option<T> {
-    let token = args.get(index)?;
-    Some(
-        token
-            .parse()
-            .unwrap_or_else(|_| reject(&format!("bad argument `{token}`"))),
-    )
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(extra) = args.get(3) {
-        reject(&format!("unexpected argument `{extra}`"));
-    }
-    let n: usize = arg(&args, 0).unwrap_or(32);
-    let r: usize = arg(&args, 1).unwrap_or(8);
-    let seed: u64 = arg(&args, 2).unwrap_or(7);
+    let cli = Cli::new(USAGE, std::env::args().skip(1), 3);
+    let n: usize = cli.arg(0).unwrap_or(32);
+    let r: usize = cli.arg(1).unwrap_or(8);
+    let seed: u64 = cli.arg(2).unwrap_or(7);
 
     let protocol = ElectLeader::with_n_r(n, r)
-        .unwrap_or_else(|e| reject(&format!("invalid parameters `{n} {r}`: {e}")));
+        .unwrap_or_else(|e| cli.reject(&format!("invalid parameters `{n} {r}`: {e}")));
     let budget = protocol.params().suggested_budget();
     println!("Self-stabilization from adversarial configurations (n = {n}, r = {r})");
     println!(

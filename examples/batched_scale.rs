@@ -12,38 +12,19 @@
 //! per-step tier's completion predicate is O(1) per check thanks to its
 //! count mirror, so it no longer needs coarse checking here.)
 
+use harness::Cli;
 use ppsim::epidemic::{epidemic_constant, measure_epidemic_time_with, OneWayEpidemic};
 use ppsim::EngineKind;
 use std::time::Instant;
 
 const USAGE: &str = "usage: batched_scale [n] [seed]";
 
-/// Prints `message` and the usage, and exits with status 2.
-fn reject(message: &str) -> ! {
-    eprintln!("{message}\n{USAGE}");
-    std::process::exit(2)
-}
-
-/// The `index`-th argument parsed, `None` when absent; an unparsable token
-/// is rejected.
-fn arg<T: std::str::FromStr>(args: &[String], index: usize) -> Option<T> {
-    let token = args.get(index)?;
-    Some(
-        token
-            .parse()
-            .unwrap_or_else(|_| reject(&format!("bad argument `{token}`"))),
-    )
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(extra) = args.get(2) {
-        reject(&format!("unexpected argument `{extra}`"));
-    }
-    let n: usize = arg(&args, 0).unwrap_or(1_000_000);
-    let seed: u64 = arg(&args, 1).unwrap_or(42);
+    let cli = Cli::new(USAGE, std::env::args().skip(1), 2);
+    let n: usize = cli.arg(0).unwrap_or(1_000_000);
+    let seed: u64 = cli.arg(1).unwrap_or(42);
     if n < 2 {
-        reject(&format!("n `{n}` must be at least 2"));
+        cli.reject(&format!("n `{n}` must be at least 2"));
     }
     let nf = n as f64;
     let budget = (50.0 * nf * nf.ln().max(1.0)).ceil() as u64;

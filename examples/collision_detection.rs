@@ -7,51 +7,32 @@
 //! cargo run --release --example collision_detection -- [n] [r] [duplicates] [trials]
 //! ```
 
+use harness::Cli;
 use ppsim::rng::derive_seed;
 use ppsim::{SimRng, Simulation};
 use ssle_core::{ElectLeader, Scenario};
 
 const USAGE: &str = "usage: collision_detection [n] [r] [duplicates] [trials]";
 
-/// Prints `message` and the usage, and exits with status 2.
-fn reject(message: &str) -> ! {
-    eprintln!("{message}\n{USAGE}");
-    std::process::exit(2)
-}
-
-/// The `index`-th argument parsed, `None` when absent; an unparsable token
-/// is rejected.
-fn arg<T: std::str::FromStr>(args: &[String], index: usize) -> Option<T> {
-    let token = args.get(index)?;
-    Some(
-        token
-            .parse()
-            .unwrap_or_else(|_| reject(&format!("bad argument `{token}`"))),
-    )
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(extra) = args.get(4) {
-        reject(&format!("unexpected argument `{extra}`"));
-    }
-    let n: usize = arg(&args, 0).unwrap_or(64);
-    let r: usize = arg(&args, 1).unwrap_or(n / 2);
-    let duplicates: usize = arg(&args, 2).unwrap_or(2);
-    let trials: u64 = arg(&args, 3).unwrap_or(5);
+    let cli = Cli::new(USAGE, std::env::args().skip(1), 4);
+    let n: usize = cli.arg(0).unwrap_or(64);
+    let r: usize = cli.arg(1).unwrap_or(n / 2);
+    let duplicates: usize = cli.arg(2).unwrap_or(2);
+    let trials: u64 = cli.arg(3).unwrap_or(5);
     if let Err(e) = ElectLeader::with_n_r(n, r) {
-        reject(&format!("invalid parameters `{n} {r}`: {e}"));
+        cli.reject(&format!("invalid parameters `{n} {r}`: {e}"));
     }
     // Duplicate pair i is agents (i, n - duplicates + i): the pairs are
     // disjoint only for at most n/2 of them.
     if !(1..=n / 2).contains(&duplicates) {
-        reject(&format!(
+        cli.reject(&format!(
             "duplicates `{duplicates}` must lie in 1..={}",
             n / 2
         ));
     }
     if trials == 0 {
-        reject("trials `0` must be at least 1");
+        cli.reject("trials `0` must be at least 1");
     }
 
     println!("Collision-detection latency (n = {n}, r = {r}, {duplicates} duplicated ranks)");

@@ -13,6 +13,7 @@
 //! cargo run --release --example discovered_electleader -- [n] [r] [trials] [engine]
 //! ```
 
+use harness::Cli;
 use ppsim::simulation::StabilizationOptions;
 use ppsim::{DiscoveredProtocol, EngineKind, EnumerableProtocol, SimBuilder};
 use ssle_core::{output, ElectLeader};
@@ -21,33 +22,19 @@ use std::time::Instant;
 const USAGE: &str =
     "usage: discovered_electleader [n] [r] [trials] [per-step|batched|multibatch|auto]";
 
-/// Prints `message` and the usage, and exits with status 2.
-fn reject(message: &str) -> ! {
-    eprintln!("{message}\n{USAGE}");
-    std::process::exit(2)
-}
-
-/// The `index`-th argument as parsed by `parse`, `None` when absent; a token
-/// `parse` rejects is rejected.
-fn arg<T>(args: &[String], index: usize, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
-    let token = args.get(index)?;
-    Some(parse(token).unwrap_or_else(|| reject(&format!("bad argument `{token}`"))))
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(extra) = args.get(4) {
-        reject(&format!("unexpected argument `{extra}`"));
-    }
-    let n: usize = arg(&args, 0, |a| a.parse().ok()).unwrap_or(48);
-    let r: usize = arg(&args, 1, |a| a.parse().ok()).unwrap_or_else(|| (n / 4).max(1));
-    let trials: u64 = arg(&args, 2, |a| a.parse().ok()).unwrap_or(3);
-    let kind = arg(&args, 3, EngineKind::parse).unwrap_or(EngineKind::Batched);
+    let cli = Cli::new(USAGE, std::env::args().skip(1), 4);
+    let n: usize = cli.arg(0).unwrap_or(48);
+    let r: usize = cli.arg(1).unwrap_or_else(|| (n / 4).max(1));
+    let trials: u64 = cli.arg(2).unwrap_or(3);
+    let kind = cli
+        .arg_with(3, EngineKind::parse)
+        .unwrap_or(EngineKind::Batched);
     if let Err(e) = ElectLeader::with_n_r(n, r) {
-        reject(&format!("invalid parameters `{n} {r}`: {e}"));
+        cli.reject(&format!("invalid parameters `{n} {r}`: {e}"));
     }
     if trials == 0 {
-        reject("trials `0` must be at least 1");
+        cli.reject("trials `0` must be at least 1");
     }
 
     println!(

@@ -8,22 +8,13 @@
 
 use analysis::experiments::tradeoff::{e1_tradeoff_time, e2_state_space};
 use analysis::Scale;
+use harness::Cli;
 
 const USAGE: &str = "usage: tradeoff_sweep [tiny|quick|full]";
 
-/// Prints `message` and the usage, and exits with status 2.
-fn reject(message: &str) -> ! {
-    eprintln!("{message}\n{USAGE}");
-    std::process::exit(2)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(extra) = args.get(1) {
-        reject(&format!("unexpected argument `{extra}`"));
-    }
-    let scale =
-        Scale::from_arg(args.first().map(String::as_str)).unwrap_or_else(|why| reject(&why));
+    let cli = Cli::new(USAGE, std::env::args().skip(1), 1);
+    let scale = Scale::from_arg(cli.token(0)).unwrap_or_else(|why| cli.reject(&why));
     println!("Running the Theorem 1.1 trade-off sweep at {scale:?} scale…\n");
     let time = e1_tradeoff_time(scale);
     println!("{}", time.to_markdown());
