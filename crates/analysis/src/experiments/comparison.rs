@@ -10,11 +10,11 @@
 //! line.
 
 use crate::experiments::{clean_start_trial, ssle_trial};
-use crate::runner::{run_trials, summarize_trials};
+use crate::runner::summarize_trials;
 use crate::scale::Scale;
 use crate::table::{fmt_f64, Table};
 use baselines::{CaiIzumiWada, DirectCollisionSsle, LooselyStabilizingLe, MinIdLeaderElection};
-use ppsim::{LeaderOutput, RankingOutput};
+use ppsim::{LeaderOutput, RankingOutput, TrialFleet};
 use ssle_core::Scenario;
 
 /// The protocols compared by E6.
@@ -86,7 +86,8 @@ pub fn e6_versus_baselines(scale: Scale) -> Table {
             let seed =
                 scale.base_seed() ^ 0xE6 ^ ((n * 37) as u64) ^ (contender.label().len() as u64);
             let budget_quadratic = 200 * (n as u64) * (n as u64) + 200_000;
-            let outcomes = run_trials(scale.trials(), seed, |trial_seed| match contender {
+            let fleet = TrialFleet::new(scale.trials(), seed);
+            let outcomes = fleet.run(|trial_seed| match contender {
                 Contender::ElectLeaderFast => ssle_trial(n, n / 2, Scenario::Clean, trial_seed),
                 Contender::ElectLeaderPolylog => {
                     ssle_trial(n, polylog_r(n), Scenario::Clean, trial_seed)

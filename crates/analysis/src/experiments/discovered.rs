@@ -12,13 +12,12 @@
 //! statistics `tests/integration_batched.rs` enforces with tolerances).
 //! The `(n, r)` trade-off surface itself is E1's, on the per-step engine.
 
-use crate::runner::{run_trials, TrialOutcome};
 use crate::scale::{EngineKind, Scale};
 use crate::table::{fmt_f64, Table};
 use ppsim::rng::derive_seed;
 use ppsim::simulation::StabilizationOptions;
 use ppsim::stats::ks_distance;
-use ppsim::{DiscoveredProtocol, SimBuilder};
+use ppsim::{DiscoveredProtocol, SimBuilder, StabilizationResult, TrialFleet};
 use ssle_core::{output, ElectLeader};
 use std::time::Instant;
 
@@ -34,25 +33,18 @@ pub fn sweep_r(n: usize) -> usize {
 /// is one code path with no per-engine dispatch (the per-step tier maintains
 /// its count mirror over lazily interned states and evaluates the same
 /// count-space predicate as the count engines).
-pub fn ssle_engine_trial(engine: EngineKind, n: usize, r: usize, seed: u64) -> TrialOutcome {
+pub fn ssle_engine_trial(engine: EngineKind, n: usize, r: usize, seed: u64) -> StabilizationResult {
     let protocol = ElectLeader::with_n_r(n, r).expect("sweep parameters are valid");
     let budget = protocol.params().suggested_budget();
     let opts = StabilizationOptions::new(n, budget);
     let discovered = DiscoveredProtocol::new(protocol);
     let handle = discovered.clone();
     let mut sim = SimBuilder::new(discovered).kind(engine).seed(seed).build();
-    let result =
-        sim.measure_stabilization(&mut |c| output::is_correct_output_counts(&handle, c), opts);
-    TrialOutcome {
-        stabilized: result.stabilized(),
-        stabilized_at: result.stabilized_at,
-        total_interactions: result.interactions,
-        n,
-    }
+    sim.measure_stabilization(&mut |c| output::is_correct_output_counts(&handle, c), opts)
 }
 
 /// The stabilization interaction counts of the successful trials.
-fn stabilization_samples(outcomes: &[TrialOutcome]) -> Vec<f64> {
+fn stabilization_samples(outcomes: &[StabilizationResult]) -> Vec<f64> {
     outcomes
         .iter()
         .filter_map(|o| o.stabilized_at)
@@ -124,9 +116,8 @@ pub fn e11_discovered_curves(scale: Scale) -> Table {
             EngineKind::PerStep,
         ] {
             let started = Instant::now();
-            let outcomes = run_trials(trials, base_seed, |seed| {
-                ssle_engine_trial(engine, n, r, seed)
-            });
+            let outcomes = TrialFleet::new(trials, base_seed)
+                .run(|seed| ssle_engine_trial(engine, n, r, seed));
             let elapsed = started.elapsed();
             let samples = stabilization_samples(&outcomes);
             let (mean_interactions, mean_parallel) = if samples.is_empty() {
@@ -185,14 +176,14 @@ mod tests {
     #[test]
     fn batched_trial_stabilizes_a_tiny_instance() {
         let outcome = ssle_engine_trial(EngineKind::Batched, 12, sweep_r(12), 7);
-        assert!(outcome.stabilized, "tiny clean instance must stabilize");
+        assert!(outcome.stabilized(), "tiny clean instance must stabilize");
         assert!(outcome.parallel_time().unwrap() > 0.0);
     }
 
     #[test]
     fn multibatch_trial_stabilizes_a_tiny_instance() {
         let outcome = ssle_engine_trial(EngineKind::MultiBatch, 12, sweep_r(12), 7);
-        assert!(outcome.stabilized, "tiny clean instance must stabilize");
+        assert!(outcome.stabilized(), "tiny clean instance must stabilize");
         assert!(outcome.parallel_time().unwrap() > 0.0);
     }
 

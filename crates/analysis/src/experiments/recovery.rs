@@ -11,12 +11,12 @@
 //!   ranks.
 
 use crate::experiments::ssle_trial;
-use crate::runner::{run_trials, summarize_trials, TrialOutcome};
+use crate::runner::summarize_trials;
 use crate::scale::Scale;
 use crate::table::{fmt_f64, Table};
 use ppsim::rng::derive_seed;
 use ppsim::stats::log_log_slope;
-use ppsim::{SimRng, Simulation};
+use ppsim::{SimRng, Simulation, StabilizationResult, TrialFleet};
 use ssle_core::{classify, ElectLeader, Scenario};
 
 /// E4 — recovery time per adversarial scenario.
@@ -40,11 +40,11 @@ pub fn e4_recovery(scale: Scale) -> Table {
         let sample = scenario.generate(&protocol, &mut rng);
         let level = classify(&sample);
 
-        let outcomes = run_trials(
+        let outcomes = TrialFleet::new(
             scale.trials(),
             scale.base_seed() ^ 0xE4 ^ (scenario.name().len() as u64) << 17,
-            |seed| ssle_trial(n, r, scenario, seed),
-        );
+        )
+        .run(|seed| ssle_trial(n, r, scenario, seed));
         let summary = summarize_trials(&outcomes);
         table.push_row([
             scenario.name(),
@@ -72,17 +72,16 @@ pub fn e4_recovery(scale: Scale) -> Table {
 
 /// One E5 trial: interactions until the first hard reset is triggered from a
 /// duplicated-rank configuration.
-pub fn detection_trial(n: usize, r: usize, duplicates: usize, seed: u64) -> TrialOutcome {
+pub fn detection_trial(n: usize, r: usize, duplicates: usize, seed: u64) -> StabilizationResult {
     let protocol = ElectLeader::with_n_r(n, r).expect("valid parameters");
     let budget = protocol.params().suggested_budget();
     let mut scenario_rng = SimRng::seed_from_u64(derive_seed(seed, 0xE5));
     let config = Scenario::DuplicateRanks(duplicates).generate(&protocol, &mut scenario_rng);
     let mut sim = Simulation::new(protocol, config, derive_seed(seed, 0xE6));
     let outcome = sim.run_until(|c| c.any(|s| s.is_resetting()), budget);
-    TrialOutcome {
-        stabilized: outcome.satisfied,
+    StabilizationResult {
+        interactions: outcome.interactions,
         stabilized_at: outcome.satisfied.then_some(outcome.interactions),
-        total_interactions: outcome.interactions,
         n,
     }
 }
@@ -105,11 +104,11 @@ pub fn e5_collision_latency(scale: Scale) -> Table {
     let mut points: Vec<(f64, f64)> = Vec::new();
     for &r in &scale.r_values() {
         for duplicates in [2usize, (n / 4).max(3)] {
-            let outcomes = run_trials(
+            let outcomes = TrialFleet::new(
                 scale.trials(),
                 scale.base_seed() ^ 0xE5 ^ ((r * 1000 + duplicates) as u64),
-                |seed| detection_trial(n, r, duplicates, seed),
-            );
+            )
+            .run(|seed| detection_trial(n, r, duplicates, seed));
             let summary = summarize_trials(&outcomes);
             table.push_row([
                 r.to_string(),
@@ -155,7 +154,10 @@ mod tests {
     #[test]
     fn detection_trial_detects_duplicates_quickly() {
         let outcome = detection_trial(16, 8, 4, 3);
-        assert!(outcome.stabilized, "the duplicated ranks must be detected");
+        assert!(
+            outcome.stabilized(),
+            "the duplicated ranks must be detected"
+        );
         assert!(outcome.stabilized_at.unwrap() > 0);
     }
 

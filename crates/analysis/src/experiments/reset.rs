@@ -9,12 +9,12 @@
 //!   unchanged, and that the population returns to a consistent state.
 
 use crate::experiments::ssle_trial;
-use crate::runner::{run_trials, summarize_trials};
+use crate::runner::summarize_trials;
 use crate::scale::Scale;
 use crate::table::{fmt_f64, Table};
 use ppsim::rng::derive_seed;
 use ppsim::stats::log_log_slope;
-use ppsim::{SimRng, Simulation};
+use ppsim::{SimRng, Simulation, TrialFleet};
 use ssle_core::{satisfies_safe_shape, AgentState, ElectLeader, Scenario};
 
 /// E3 — time to reach a safe configuration after a full reset.
@@ -34,11 +34,8 @@ pub fn e3_post_reset(scale: Scale) -> Table {
     let mut points: Vec<(f64, f64)> = Vec::new();
     for &n in &scale.n_values() {
         let r = (n / 2).max(1);
-        let outcomes = run_trials(
-            scale.trials(),
-            scale.base_seed() ^ (n as u64) << 8,
-            |seed| ssle_trial(n, r, Scenario::Triggered, seed),
-        );
+        let outcomes = TrialFleet::new(scale.trials(), scale.base_seed() ^ (n as u64) << 8)
+            .run(|seed| ssle_trial(n, r, Scenario::Triggered, seed));
         let summary = summarize_trials(&outcomes);
         let bound = (n as f64 / r as f64) * (n as f64).ln();
         table.push_row([

@@ -1,7 +1,7 @@
 //! E1 and E2 — the two axes of the Theorem 1.1 trade-off.
 //!
 //! * **E1 (time)**: over the `(n, r)` grid — `n` from [`Scale::n_values`],
-//!   `r` from the rules [`R_RULES`] `{1, ⌈ln n⌉, ⌈√n⌉, n/4}` — measure the
+//!   `r` from the rules `R_RULES` `{1, ⌈ln n⌉, ⌈√n⌉, n/4}` — measure the
 //!   stabilization time on the per-step engine from both a clean start and
 //!   a uniformly random adversarial start. The paper predicts
 //!   `O((n²/r) log n)` interactions. E1 fits two kinds of clean-start
@@ -14,11 +14,12 @@
 //!   `r²`.
 
 use crate::experiments::ssle_trial;
-use crate::runner::{run_trials, summarize_trials};
+use crate::runner::summarize_trials;
 use crate::scale::Scale;
 use crate::table::{fmt_f64, Table};
 use ppsim::rng::derive_seed;
 use ppsim::stats::log_log_slope;
+use ppsim::TrialFleet;
 use ssle_core::{measured_state_bytes, state_bits, ElectLeader, Params, Scenario};
 
 /// A named `r` rule of the E1 grid: its label and its value as a function
@@ -72,9 +73,8 @@ pub fn e1_tradeoff_time(scale: Scale) -> Table {
         for r in grid_r_values(n) {
             let base_seed = derive_seed(scale.base_seed() ^ 0xE1, (n * 131 + r) as u64);
             for scenario in [Scenario::Clean, Scenario::UniformRandom] {
-                let outcomes = run_trials(scale.trials(), base_seed, |seed| {
-                    ssle_trial(n, r, scenario, seed)
-                });
+                let outcomes = TrialFleet::new(scale.trials(), base_seed)
+                    .run(|seed| ssle_trial(n, r, scenario, seed));
                 let summary = summarize_trials(&outcomes);
                 let bound = (n as f64).powi(2) * (n as f64).ln() / (r as f64 * n as f64);
                 let mean_pt = summary.mean_parallel_time();

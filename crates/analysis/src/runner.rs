@@ -1,34 +1,14 @@
-//! Seeded, parallel trial execution.
+//! Aggregation of trial records.
 //!
-//! Experiments repeat every measurement over several independent trials.
-//! [`run_trials`] derives one seed per trial from a base seed (so every table
-//! row is reproducible bit-for-bit) and fans the trials out across worker
-//! threads through [`ppsim::TrialFleet`] — thread count follows
-//! `RAYON_NUM_THREADS`/`available_parallelism`, and outcomes come back in
-//! trial order regardless of scheduling.
+//! Experiments repeat every measurement over several independent trials,
+//! run through [`ppsim::TrialFleet`]: one seed per trial derived from a base
+//! seed (so every table row is reproducible bit-for-bit), fanned out across
+//! worker threads, and returned in trial order regardless of scheduling.
+//! Each trial yields a [`StabilizationResult`]; [`summarize_trials`] folds a
+//! cell's records into a [`TrialSummary`].
 
-use ppsim::{Summary, TrialFleet};
+use ppsim::{StabilizationResult, Summary};
 use serde::Serialize;
-
-/// The outcome of a single trial of a stabilization experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct TrialOutcome {
-    /// Whether the stop condition was reached within the budget.
-    pub stabilized: bool,
-    /// The interaction count at which the output stabilized (if it did).
-    pub stabilized_at: Option<u64>,
-    /// Total interactions executed by the trial.
-    pub total_interactions: u64,
-    /// Population size, for parallel-time conversion.
-    pub n: usize,
-}
-
-impl TrialOutcome {
-    /// Stabilization time in parallel time units, if the trial stabilized.
-    pub fn parallel_time(&self) -> Option<f64> {
-        self.stabilized_at.map(|t| t as f64 / self.n as f64)
-    }
-}
 
 /// Aggregate statistics over the trials of one experiment cell.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -58,22 +38,11 @@ impl TrialSummary {
     }
 }
 
-/// Runs `trials` independent trials of `trial` in parallel, one derived seed
-/// per trial (`derive_seed(base_seed, index)` — the [`TrialFleet`] seeding
-/// contract), and returns the outcomes in trial order.
-pub fn run_trials<F>(trials: usize, base_seed: u64, trial: F) -> Vec<TrialOutcome>
-where
-    F: Fn(u64) -> TrialOutcome + Sync,
-{
-    assert!(trials > 0, "need at least one trial");
-    TrialFleet::new(trials, base_seed).run(trial)
-}
-
-/// Aggregates trial outcomes into a [`TrialSummary`].
-pub fn summarize_trials(outcomes: &[TrialOutcome]) -> TrialSummary {
+/// Aggregates trial records into a [`TrialSummary`].
+pub fn summarize_trials(outcomes: &[StabilizationResult]) -> TrialSummary {
     let successes: Vec<f64> = outcomes
         .iter()
-        .filter_map(TrialOutcome::parallel_time)
+        .filter_map(StabilizationResult::parallel_time)
         .collect();
     TrialSummary {
         trials: outcomes.len(),
@@ -90,56 +59,20 @@ pub fn summarize_trials(outcomes: &[TrialOutcome]) -> TrialSummary {
 mod tests {
     use super::*;
 
-    fn fake_trial(seed: u64) -> TrialOutcome {
-        TrialOutcome {
-            stabilized: seed % 4 != 0,
-            stabilized_at: if seed % 4 != 0 {
-                Some(seed % 1000)
-            } else {
-                None
-            },
-            total_interactions: 1000,
-            n: 10,
+    fn record(stabilized_at: Option<u64>, n: usize) -> StabilizationResult {
+        StabilizationResult {
+            interactions: 500,
+            stabilized_at,
+            n,
         }
     }
 
     #[test]
-    fn run_trials_is_reproducible_and_ordered() {
-        let a = run_trials(8, 42, fake_trial);
-        let b = run_trials(8, 42, fake_trial);
-        assert_eq!(a, b);
-        let c = run_trials(8, 43, fake_trial);
-        assert_ne!(a, c);
-        assert_eq!(a.len(), 8);
-    }
-
-    #[test]
-    fn run_trials_single_trial() {
-        let out = run_trials(1, 7, fake_trial);
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
     fn summarize_counts_successes_and_averages() {
-        let outcomes = vec![
-            TrialOutcome {
-                stabilized: true,
-                stabilized_at: Some(100),
-                total_interactions: 500,
-                n: 10,
-            },
-            TrialOutcome {
-                stabilized: false,
-                stabilized_at: None,
-                total_interactions: 500,
-                n: 10,
-            },
-            TrialOutcome {
-                stabilized: true,
-                stabilized_at: Some(300),
-                total_interactions: 500,
-                n: 10,
-            },
+        let outcomes = [
+            record(Some(100), 10),
+            record(None, 10),
+            record(Some(300), 10),
         ];
         let summary = summarize_trials(&outcomes);
         assert_eq!(summary.trials, 3);
@@ -150,21 +83,9 @@ mod tests {
 
     #[test]
     fn summarize_with_no_successes() {
-        let outcomes = vec![TrialOutcome {
-            stabilized: false,
-            stabilized_at: None,
-            total_interactions: 10,
-            n: 5,
-        }];
-        let summary = summarize_trials(&outcomes);
+        let summary = summarize_trials(&[record(None, 5)]);
         assert_eq!(summary.successes, 0);
         assert_eq!(summary.mean_parallel_time(), None);
         assert_eq!(summary.success_rate(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one trial")]
-    fn zero_trials_rejected() {
-        let _ = run_trials(0, 1, fake_trial);
     }
 }

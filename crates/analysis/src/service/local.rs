@@ -31,7 +31,8 @@ impl LocalService {
         if spec.experiment == SWEEP_EXPERIMENT {
             return Ok(service_sweep(spec));
         }
-        experiments::by_id(&spec.experiment, spec.scale)
+        experiments::by_id(&spec.experiment)
+            .map(|run| run(spec.scale))
             .ok_or_else(|| ServiceError::UnknownExperiment(spec.experiment.clone()))
     }
 }
@@ -179,9 +180,7 @@ mod tests {
     fn by_id_sweep_matches_the_default_spec() {
         // The registry's "sweep" entry and a default-spec service run must
         // be the same bytes — the CI byte-diff pivots on this.
-        let via_registry = experiments::by_id(SWEEP_EXPERIMENT, Scale::Tiny)
-            .unwrap()
-            .to_json();
+        let via_registry = experiments::by_id(SWEEP_EXPERIMENT).unwrap()(Scale::Tiny).to_json();
         let via_service = LocalService
             .run_job(&JobSpec::new(SWEEP_EXPERIMENT, Scale::Tiny))
             .unwrap();

@@ -37,9 +37,9 @@ use wire::JsonValue;
 
 pub use local::{service_sweep, LocalService};
 
-/// The experiment ids the service accepts besides the registry
-/// (`crate::experiments::by_id`) ids: the deterministic epidemic sweep that
-/// exercises the engine/seed/trials knobs.
+/// The experiment id the service accepts besides the
+/// [`crate::experiments::REGISTRY`] ids: the deterministic epidemic sweep
+/// that exercises the engine/seed/trials knobs.
 pub const SWEEP_EXPERIMENT: &str = "sweep";
 
 /// Errors produced by experiment services (local or remote).
@@ -209,7 +209,7 @@ impl JobSpec {
             }
             return Ok(());
         }
-        if crate::experiments::by_id_exists(&self.experiment) {
+        if crate::experiments::by_id(&self.experiment).is_some() {
             let defaults = JobSpec::new(self.experiment.clone(), self.scale);
             if *self != defaults {
                 return Err(ServiceError::InvalidSpec(format!(

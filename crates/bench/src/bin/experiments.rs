@@ -8,30 +8,27 @@
 //! cargo run --release -p bench --bin experiments -- e4 quick --csv results/
 //! ```
 //!
-//! The first argument selects the experiment (`e1` … `e11`, `fleet`, `p1`,
+//! The first argument selects the experiment (an id of
+//! `analysis::experiments::REGISTRY` — `e1` … `e11`, `fleet`, `p1` — or
 //! `sweep`, or `all`), the second the scale (`tiny`, `quick`, `full`;
 //! default `quick`). A bad scale or experiment id, a third positional, an
-//! unknown flag, or a flag missing its value prints the usage and exits with
-//! status 2. With `--csv <dir>` every table is additionally written as a CSV
+//! unknown flag, a flag missing its value, or `--remote` with `all`,
+//! `--csv` or `--trace` prints the usage and exits with status 2. With `--csv <dir>` every table is additionally written as a CSV
 //! file and as a JSON document into the given directory; a failed write
 //! exits with status 1. With `--trace <path>` the driver
 //! additionally runs one telemetry-instrumented adaptive epidemic (the P1
 //! reference workload) and writes its trace as JSONL: the deterministic
 //! event stream first, the wall-clock timing stream after.
 //!
-//! Two service modes ride along:
-//!
-//! * `experiments serve [--addr HOST:PORT] [--workers N] [--cache DIR]`
-//!   runs the `ssle-server` experiment daemon in the foreground;
-//! * `--remote HOST:PORT` routes a single-experiment selection through a
-//!   running daemon instead of executing locally, printing the returned
-//!   result-table JSON document (byte-identical to a local run) to stdout.
+//! With `--remote HOST:PORT` a single-experiment selection runs on a
+//! running `ssle-server` daemon instead of locally, and the returned
+//! result-table JSON document (byte-identical to a local run) is printed to
+//! stdout; `all` cannot be sent remotely.
 
 #![forbid(unsafe_code)]
 
 use analysis::{experiments, ExperimentService, JobSpec, Scale, Table};
 use ssle_client::HttpClient;
-use ssle_server::ServerConfig;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -39,10 +36,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print_usage();
-        return;
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        run_serve(&args[1..]);
         return;
     }
 
@@ -76,19 +69,28 @@ fn main() {
     let scale =
         Scale::from_arg(positionals.get(1).copied()).unwrap_or_else(|why| usage_error(&why));
 
+    let run = match selection {
+        "all" => None,
+        id => Some(
+            experiments::by_id(id)
+                .unwrap_or_else(|| usage_error(&format!("unknown experiment id `{id}`"))),
+        ),
+    };
     if let Some(addr) = remote_addr {
+        if run.is_none() {
+            usage_error("--remote runs a single experiment id, not `all`");
+        }
+        if csv_dir.is_some() || trace_path.is_some() {
+            usage_error("--remote prints the result document; it takes no --csv or --trace");
+        }
         run_remote(addr, selection, scale);
         return;
     }
 
     let started = Instant::now();
-    let tables: Vec<Table> = if selection == "all" {
-        experiments::all(scale)
-    } else {
-        match experiments::by_id(selection, scale) {
-            Some(table) => vec![table],
-            None => usage_error(&format!("unknown experiment id `{selection}`")),
-        }
+    let tables: Vec<Table> = match run {
+        Some(run) => vec![run(scale)],
+        None => experiments::all(scale),
     };
 
     for table in &tables {
@@ -146,54 +148,9 @@ fn main() {
     }
 }
 
-/// Runs the experiment service daemon in the foreground (`serve` mode).
-fn run_serve(args: &[String]) {
-    let mut config = ServerConfig::default();
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| match iter.next() {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("{name} needs a value");
-                std::process::exit(1);
-            }
-        };
-        match flag.as_str() {
-            "--addr" => config.addr = value("--addr"),
-            "--workers" => match value("--workers").parse() {
-                Ok(n) => config.workers = n,
-                Err(_) => {
-                    eprintln!("--workers needs an unsigned integer");
-                    std::process::exit(1);
-                }
-            },
-            "--cache" => config.cache_dir = Some(PathBuf::from(value("--cache"))),
-            other => {
-                eprintln!("unknown serve flag `{other}`");
-                print_usage();
-                std::process::exit(1);
-            }
-        }
-    }
-    match ssle_server::spawn(config) {
-        Ok(handle) => {
-            eprintln!("experiments serve: listening on {}", handle.addr());
-            handle.join();
-        }
-        Err(e) => {
-            eprintln!("experiments serve: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// Runs one experiment through a remote daemon and prints the result
 /// document — the same bytes `Table::to_json` produces locally.
 fn run_remote(addr: &str, selection: &str, scale: Scale) {
-    if selection == "all" {
-        eprintln!("--remote runs a single experiment id, not `all`");
-        std::process::exit(1);
-    }
     let spec = JobSpec::new(selection, scale);
     let client = HttpClient::new(addr);
     match client.run_job(&spec) {
@@ -222,23 +179,13 @@ fn usage_error(why: &str) -> ! {
 
 fn print_usage() {
     eprintln!(
-        "usage: experiments [e1|e2|...|e11|fleet|p1|sweep|all] [tiny|quick|full] [--csv <dir>] \
-         [--trace <path>] [--remote <host:port>]"
+        "usage: experiments [<id>|all] [tiny|quick|full] [--csv <dir>] [--trace <path>] \
+         [--remote <host:port>]"
     );
-    eprintln!("       experiments serve [--addr HOST:PORT] [--workers N] [--cache DIR]");
     eprintln!();
-    eprintln!("  e1  stabilization time over (n, r)   (Theorem 1.1, time axis)");
-    eprintln!("  e2  state-space size vs r            (Theorem 1.1, space axis)");
-    eprintln!("  e3  stabilization after a full reset (Lemma 6.2)");
-    eprintln!("  e4  recovery from adversarial starts (Lemma 6.3)");
-    eprintln!("  e5  collision-detection latency      (Lemma E.1)");
-    eprintln!("  e6  ElectLeader_r vs baselines");
-    eprintln!("  e7  soft-reset safety                (Section 3.2)");
-    eprintln!("  e8  epidemic & load-balancing substrate (Lemmas A.2, E.6)");
-    eprintln!("  e9  synthetic-coin quality           (Appendix B)");
-    eprintln!("  e10 engine scale sweep: batched vs multi-batch vs per-step at large n");
-    eprintln!("  e11 engine agreement on ElectLeader_r: indexed count engines vs per-step");
-    eprintln!("  fleet trial-fleet throughput: trials/sec at 1 vs N worker threads");
-    eprintln!("  p1  engine instrumentation profile: ns/interaction by mode (telemetry spans)");
+    eprintln!("ids:");
+    for e in experiments::REGISTRY {
+        eprintln!("  {:<5} {}", e.id, e.about);
+    }
     eprintln!("  sweep deterministic epidemic sweep (timing-free; the service's native workload)");
 }

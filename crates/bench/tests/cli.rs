@@ -22,6 +22,16 @@ fn bad_arguments_print_usage_and_exit_2() {
         (&["e2", "tiny", "--remote"], "--remote needs a value"),
         (&["--csv", "--trace", "t"], "--csv needs a value"),
         (&["e99", "tiny"], "unknown experiment id `e99`"),
+        (&["all", "--remote", "x"], "not `all`"),
+        (
+            &["sweep", "--remote", "x", "--csv", "out"],
+            "no --csv or --trace",
+        ),
+        (
+            &["sweep", "--trace", "t", "--remote", "x"],
+            "no --csv or --trace",
+        ),
+        (&["serve"], "unknown experiment id `serve`"),
     ];
     for (args, why) in cases {
         let out = experiments(args);

@@ -24,7 +24,7 @@
 //! # Sparse pair-weight maintenance
 //!
 //! The sampling weights of the non-silent ordered state pairs are kept in a
-//! [`PairIndex`]: a Fenwick (binary indexed) tree over the pairs of states
+//! `PairIndex`: a Fenwick (binary indexed) tree over the pairs of states
 //! that are **currently occupied**, updated incrementally in
 //! `O(#pairs touched · log #pairs)` when a transition changes two counts.
 //! Nothing is enumerated up front — neither the state space nor the `|Q|²`

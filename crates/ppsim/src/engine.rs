@@ -320,10 +320,6 @@ pub struct PerStepEngine<P: EnumerableProtocol> {
     /// Observability handle; disabled by default, in which case every probe
     /// is an early-out on a `None` and trajectories are untouched.
     telemetry: Telemetry,
-    /// Per-agent interaction load, maintained only while telemetry is
-    /// enabled (the `O(n)` vector and two increments per interaction are
-    /// pure observability — nothing in the engine reads them back).
-    metrics: Option<InteractionMetrics>,
     /// The `per_step.run` span of the current run call: opened by its first
     /// advance, closed when the run loop ends.
     span: Option<SpanGuard>,
@@ -355,18 +351,14 @@ impl<P: EnumerableProtocol> PerStepEngine<P> {
             counts: CountConfiguration::from_counts(counts),
             encoded,
             telemetry: Telemetry::disabled(),
-            metrics: None,
             span: None,
         }
     }
 
-    /// Attaches a [`Telemetry`] handle. An enabled handle also switches on
-    /// the per-agent [`InteractionMetrics`] (only this engine can maintain
-    /// them — see [`SimulationEngine::predicate_granularity`]).
+    /// Attaches a [`Telemetry`] handle. An enabled handle also exposes the
+    /// per-agent [`InteractionMetrics`] (only this engine has them — see
+    /// [`SimulationEngine::predicate_granularity`]).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.metrics = telemetry
-            .is_enabled()
-            .then(|| InteractionMetrics::new(self.encoded.len()));
         self.telemetry = telemetry;
     }
 
@@ -376,12 +368,12 @@ impl<P: EnumerableProtocol> PerStepEngine<P> {
         &self.telemetry
     }
 
-    /// The per-agent interaction load recorded so far — `Some` only while an
-    /// enabled telemetry handle is attached. The count engines cannot offer
-    /// this at any price; see
-    /// [`SimulationEngine::predicate_granularity`].
+    /// The per-agent interaction load since construction, as the wrapped
+    /// [`Simulation`] records it — `Some` only while an enabled telemetry
+    /// handle is attached. The count engines cannot offer this at any price;
+    /// see [`SimulationEngine::predicate_granularity`].
     pub fn interaction_metrics(&self) -> Option<&InteractionMetrics> {
-        self.metrics.as_ref()
+        self.telemetry.is_enabled().then(|| self.sim.metrics())
     }
 
     /// Creates a per-step engine from the protocol's clean initial
@@ -407,9 +399,6 @@ impl<P: EnumerableProtocol> PerStepEngine<P> {
             return false;
         };
         self.telemetry.count(Counter::PerStepInteractions, 1);
-        if let Some(metrics) = &mut self.metrics {
-            metrics.record(pair.initiator, pair.responder);
-        }
         let (i, j) = (pair.initiator.index(), pair.responder.index());
         let (new_u, new_v) = {
             let protocol = self.sim.protocol();
@@ -456,10 +445,10 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for PerStepEngine<P> {
         }
     }
     /// Also pushes the current per-agent load summary into the telemetry
-    /// report (while metrics are being maintained).
+    /// report (while telemetry is enabled).
     fn end_run(&mut self, checks: u64) {
         self.telemetry.count(Counter::PerStepStrideChecks, checks);
-        if let Some(metrics) = &self.metrics {
+        if let Some(metrics) = self.interaction_metrics() {
             self.telemetry.record_balance(BalanceSummary {
                 n: self.encoded.len() as u64,
                 total: metrics.total(),
@@ -590,26 +579,16 @@ pub struct AdaptiveSimulation<P: EnumerableProtocol> {
 }
 
 impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
-    /// Creates an adaptive simulation from an explicit count configuration
-    /// with the default [`AdaptiveConfig`].
+    /// Creates an adaptive simulation with an explicit switching policy,
+    /// returning a typed error on invalid input. The initial engine is
+    /// chosen by measuring the initial activity against
+    /// [`AdaptiveConfig::high_activity`].
     ///
     /// # Supported populations
     ///
     /// `2 ≤ n ≤ 2⁶²` ([`crate::count_config::MAX_POPULATION`]) — the
     /// adaptive tier accepts exactly what its two inner count engines
     /// accept, and inherits their `O(#occupied states + √n)` memory bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any input [`Self::try_with_config`] rejects.
-    pub fn new(protocol: P, counts: CountConfiguration, seed: u64) -> Self {
-        Self::with_config(protocol, counts, seed, AdaptiveConfig::default())
-    }
-
-    /// Creates an adaptive simulation with an explicit switching policy,
-    /// returning a typed error on invalid input. The initial engine is
-    /// chosen by measuring the initial activity against
-    /// [`AdaptiveConfig::high_activity`].
     ///
     /// # Errors
     ///
@@ -685,16 +664,6 @@ impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
         Self::try_with_config(protocol, counts, seed, config).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Creates an adaptive simulation from a per-agent configuration.
-    ///
-    /// Supports the same population range as [`Self::try_with_config`],
-    /// though the per-agent input is itself `O(n)` — start from counts (or
-    /// [`Self::clean`]) for very large populations.
-    pub fn from_configuration(protocol: P, config: &Configuration<P::State>, seed: u64) -> Self {
-        let counts = CountConfiguration::from_configuration(&protocol, config);
-        Self::new(protocol, counts, seed)
-    }
-
     /// Creates an adaptive simulation from the protocol's clean initial
     /// configuration.
     ///
@@ -707,7 +676,7 @@ impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
         P: CleanInit,
     {
         let counts = CountConfiguration::from_clean_init(&protocol);
-        Self::new(protocol, counts, seed)
+        Self::with_config(protocol, counts, seed, AdaptiveConfig::default())
     }
 
     /// The engine currently executing interactions
@@ -1217,8 +1186,7 @@ mod tests {
     #[test]
     fn adaptive_handoffs_reuse_the_survival_table() {
         // The gauge lives in the telemetry layer (always on, telemetry
-        // handle or not); `crate::multibatch::survival_table_builds` is the
-        // same counter under its historical name.
+        // handle or not).
         use crate::telemetry::survival_table_builds;
         // A population no other test on this thread uses (libtest runs each
         // test on its own thread, so the counter starts fresh anyway).

@@ -91,7 +91,7 @@ pub trait EnumerableProtocol: Protocol {
     ///   [`InteractionCtx::interaction`]), matching the population-protocol
     ///   model.
     ///
-    /// The default derives the support from [`is_silent`]: silent pairs map
+    /// The default derives the support from [`Self::is_silent`]: silent pairs map
     /// to themselves with certainty, everything else is unknown. Protocols
     /// with *randomized* transitions of small support (coin flips) should
     /// override this so the engine can sample outcomes exactly instead of

@@ -23,7 +23,7 @@
 //!    deterministic transitions need no randomness at all, enumerated
 //!    randomized supports ([`EnumerableProtocol::transition_support`]) are
 //!    split **multinomially** over their outcomes, and only unknown-support
-//!    transitions fall back to one [`Protocol::interact`] call per
+//!    transitions fall back to one [`crate::Protocol::interact`] call per
 //!    interaction. All updates are *delayed* — applied to the counts in one
 //!    [`CountConfiguration::apply_batch`] commit, which is sound because the
 //!    batch's agents are pairwise distinct.
@@ -128,18 +128,6 @@ fn shared_survival_table(n: u64) -> Rc<[f64]> {
     })
 }
 
-/// Number of survival tables actually *built* on the current thread so far
-/// (cache misses; cache hits do not count).
-///
-/// Exposed so tests can pin that repeated engine constructions — in
-/// particular [`crate::AdaptiveSimulation`] handoffs — reuse the shared
-/// table instead of reconstructing it. The count lives in the telemetry
-/// layer's always-on gauge ([`crate::telemetry::survival_table_builds`]);
-/// this is a thin alias kept next to the cache it observes.
-pub fn survival_table_builds() -> u64 {
-    crate::telemetry::survival_table_builds()
-}
-
 /// A uniform draw in the open interval `(0, 1)`, so its log is finite.
 #[inline]
 fn open01(rng: &mut SimRng) -> f64 {
@@ -240,16 +228,6 @@ impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
     pub fn new(protocol: P, counts: CountConfiguration, seed: u64) -> Self {
         // lint:allow(panic): documented panicking wrapper; message pinned by should_panic test
         Self::try_new(protocol, counts, seed).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Creates a multi-batch simulation from a per-agent configuration.
-    ///
-    /// Supports the same population range as [`Self::try_new`], though the
-    /// per-agent input is itself `O(n)` — start from counts (or
-    /// [`Self::clean`]) for very large populations.
-    pub fn from_configuration(protocol: P, config: &Configuration<P::State>, seed: u64) -> Self {
-        let counts = CountConfiguration::from_configuration(&protocol, config);
-        Self::new(protocol, counts, seed)
     }
 
     /// Creates a multi-batch simulation from the protocol's clean initial
@@ -512,6 +490,7 @@ mod tests {
     use crate::epidemic::{OneWayEpidemic, TwoWayEpidemic, INFORMED};
     use crate::protocol::{AgentId, Protocol};
     use crate::simulation::StabilizationOptions;
+    use crate::telemetry::survival_table_builds;
 
     #[test]
     fn survival_table_is_descending_and_anchored() {

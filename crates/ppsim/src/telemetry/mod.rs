@@ -399,7 +399,7 @@ struct Recorder {
 ///
 /// Disabled (the default) it is a `None` and every probe is a no-op —
 /// engines pay one branch per probe site and nothing else. Enabled, probes
-/// record into a shared [`Recorder`] snapshot-able as a
+/// record into a shared recorder snapshot-able as a
 /// [`TelemetryReport`]. Clones share the recorder (`Rc`): the adaptive
 /// engine hands clones to its inner engines so one report covers the whole
 /// run, handoffs included.
@@ -672,7 +672,7 @@ impl TelemetryReport {
              \"value\":{}}}",
             survival_table_builds(),
         );
-        if let Some(peak) = peak_rss_bytes() {
+        if let Some(peak) = crate::mem::peak_rss_bytes() {
             let _ = writeln!(
                 out,
                 "{{\"stream\":\"time\",\"event\":\"gauge\",\"name\":\"process.peak_rss_bytes\",\
@@ -712,20 +712,6 @@ pub fn note_survival_table_build() {
 /// schedule-dependent under a trial fleet).
 pub fn survival_table_builds() -> u64 {
     SURVIVAL_TABLE_BUILDS.with(|c| c.get())
-}
-
-/// The process's peak resident set size in bytes (the `VmHWM` gauge;
-/// `None` off Linux). Same reading as [`crate::mem::peak_rss_bytes`],
-/// re-exposed here so scale experiments and smoke tests read every gauge
-/// through the telemetry API.
-pub fn peak_rss_bytes() -> Option<u64> {
-    crate::mem::peak_rss_bytes()
-}
-
-/// Resets the kernel's peak-RSS watermark (see
-/// [`crate::mem::reset_peak_rss`]); returns whether the reset took effect.
-pub fn reset_peak_rss() -> bool {
-    crate::mem::reset_peak_rss()
 }
 
 #[cfg(test)]
@@ -893,6 +879,12 @@ mod tests {
 
     #[test]
     fn peak_rss_gauge_delegates_to_mem() {
-        assert_eq!(peak_rss_bytes().is_some(), cfg!(target_os = "linux"));
+        // The timing stream's peak-RSS gauge is `ppsim::mem`'s reading:
+        // present exactly where `mem` has one.
+        let timing = TelemetryReport::default().timing_jsonl();
+        assert_eq!(
+            timing.contains("\"name\":\"process.peak_rss_bytes\""),
+            crate::mem::peak_rss_bytes().is_some()
+        );
     }
 }

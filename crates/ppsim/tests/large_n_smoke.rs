@@ -8,10 +8,7 @@
 
 use ppsim::engine::{EngineKind, SimBuilder};
 use ppsim::epidemic::OneWayEpidemic;
-// The peak-RSS watermark is read through the telemetry gauge surface (which
-// `ppsim::mem` backs), the same API the timing stream exports it under.
-use ppsim::telemetry::{peak_rss_bytes, reset_peak_rss};
-use ppsim::{parallel_time, CountConfiguration};
+use ppsim::{parallel_time, peak_rss_bytes, reset_peak_rss, CountConfiguration};
 
 /// Index of the informed state under `OneWayEpidemic`'s encoding.
 const INFORMED: usize = 1;

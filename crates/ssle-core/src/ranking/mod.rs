@@ -8,13 +8,13 @@
 //! 1. **Sheriff election** ([`leader_election`]) — a fast, non-self-stabilizing
 //!    leader election nominates a unique *sheriff* holding the full pool of
 //!    `r` badges.
-//! 2. **Deputization** ([`deputize`]) — the sheriff recursively splits its
+//! 2. **Deputization** (`deputize`) — the sheriff recursively splits its
 //!    badge range with recipients it meets until `r` *deputies* exist, each
 //!    with a unique badge (its `id`).
-//! 3. **Labeling** ([`labeling`]) — each deputy hands out temporary labels
+//! 3. **Labeling** (`labeling`) — each deputy hands out temporary labels
 //!    `(id, counter)` from its private pool of `⌈c·n/r⌉` labels, and the
 //!    per-deputy counters are broadcast in every agent's `channel` field.
-//! 4. **Sleep & ranking** ([`sleep_step`]) — once an agent hears that all `n`
+//! 4. **Sleep & ranking** (`sleep_step`) — once an agent hears that all `n`
 //!    labels have been assigned (its channel sums to `n`), it goes to sleep;
 //!    after `Θ(log n)` of its own interactions it wakes up and converts its
 //!    label into a unique rank via the lexicographic order of assigned

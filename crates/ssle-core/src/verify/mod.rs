@@ -1,7 +1,7 @@
 //! `StableVerify_r` (Section 5, Protocol 2): collision detection plus the
 //! soft-reset / probation machinery.
 //!
-//! Verifiers continuously run [`detect_collision`] against same-generation
+//! Verifiers continuously run [`detect_collision()`] against same-generation
 //! partners. When the error state `⊤` appears, the *probation timer* decides
 //! what it means:
 //!

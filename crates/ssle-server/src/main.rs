@@ -6,7 +6,9 @@
 //!
 //! Defaults: `127.0.0.1:7878`, 2 workers, memory-only cache. The bound
 //! address is printed to stderr once listening (port 0 resolves to the
-//! ephemeral port, which is how scripts discover it).
+//! ephemeral port, which is how scripts discover it). An unknown flag, a
+//! flag missing its value, or a worker count that is not a positive
+//! integer prints the usage and exits with status 2; a failed start exits 1.
 
 #![forbid(unsafe_code)]
 
@@ -23,7 +25,7 @@ fn main() -> ExitCode {
         Err(message) => {
             eprintln!("ssle-server: {message}");
             eprintln!("usage: ssle-server [--addr HOST:PORT] [--workers N] [--cache DIR]");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     match spawn(config) {
@@ -53,7 +55,9 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
             "--workers" => {
                 config.workers = value("--workers")?
                     .parse()
-                    .map_err(|_| "--workers needs an unsigned integer".to_string())?;
+                    .ok()
+                    .filter(|&workers| workers > 0)
+                    .ok_or_else(|| "--workers needs a positive integer".to_string())?;
             }
             "--cache" => config.cache_dir = Some(PathBuf::from(value("--cache")?)),
             other => return Err(format!("unknown flag `{other}`")),
@@ -95,6 +99,7 @@ mod tests {
     fn bad_flags_are_rejected() {
         assert!(parse_args(&strings(&["--addr"])).is_err());
         assert!(parse_args(&strings(&["--workers", "many"])).is_err());
+        assert!(parse_args(&strings(&["--workers", "0"])).is_err());
         assert!(parse_args(&strings(&["--turbo"])).is_err());
     }
 }

@@ -40,7 +40,7 @@ impl Cli {
     }
 
     /// The `index`-th argument, `None` when absent.
-    pub fn token(&self, index: usize) -> Option<&str> {
+    fn token(&self, index: usize) -> Option<&str> {
         self.args.get(index).map(String::as_str)
     }
 
