@@ -4,18 +4,19 @@
 //! The fleet layer's two promises are (a) independent trials scale with
 //! cores and (b) aggregation is bit-identical regardless of thread count.
 //! This experiment measures (a) as trials/sec rows and *asserts* (b) inline
-//! by comparing the aggregated [`ppsim::FleetStats`] of the 1-thread and
-//! N-thread runs bit for bit (mean, variance, and the full retained sample).
+//! by comparing the [`TrialSummary`] of the 1-thread and N-thread runs
+//! (counts, mean, standard deviation, percentiles and extremes).
 //!
 //! The workload is one one-way-epidemic completion per trial under the
 //! `Auto` engine at [`Scale::fleet_n`] agents: a few milliseconds per trial,
 //! so the fleet fan-out — not the engine — dominates the measurement.
 
+use crate::runner::TrialSummary;
 use crate::scale::{EngineKind, Scale};
 use crate::table::{fmt_f64, Table};
 use ppsim::epidemic::{measure_epidemic_time_with, OneWayEpidemic};
 use ppsim::rng::derive_seed;
-use ppsim::{FleetStats, TrialFleet};
+use ppsim::TrialFleet;
 use std::time::Instant;
 
 /// One thread configuration's measurement.
@@ -23,14 +24,13 @@ use std::time::Instant;
 pub struct FleetThroughput {
     /// Worker threads the fleet ran with.
     pub threads: usize,
-    /// Trials executed.
-    pub trials: usize,
     /// Fleet wall-clock in milliseconds.
     pub wall_ms: f64,
     /// Trials per wall-clock second.
     pub trials_per_sec: f64,
-    /// The aggregated statistics (observation = completion parallel time).
-    pub stats: FleetStats,
+    /// The trials folded in trial order (observation = completion parallel
+    /// time).
+    pub summary: TrialSummary,
 }
 
 /// Runs the fleet workload with a forced thread count and measures
@@ -49,19 +49,19 @@ pub fn measure_fleet_throughput(
         .build()
         .expect("pool builds");
     let started = Instant::now();
-    let stats = pool.install(|| {
-        fleet.run_stats(|seed| {
+    let observations = pool.install(|| {
+        fleet.run(|seed| {
             measure_epidemic_time_with(OneWayEpidemic::new(n, 1), EngineKind::Auto, seed, budget)
                 .map(|interactions| interactions as f64 / nf)
         })
     });
+    let summary = TrialSummary::of(&observations);
     let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
     FleetThroughput {
         threads,
-        trials,
         wall_ms,
         trials_per_sec: trials as f64 / (wall_ms / 1_000.0).max(1e-9),
-        stats,
+        summary,
     }
 }
 
@@ -69,7 +69,7 @@ pub fn measure_fleet_throughput(
 ///
 /// # Panics
 ///
-/// Panics if the 1-thread and N-thread aggregates differ in any bit — that
+/// Panics if the 1-thread and N-thread summaries differ — that
 /// would mean the fleet's schedule-independence guarantee is broken, which
 /// must fail the run rather than publish a silently thread-dependent table.
 pub fn f1_fleet_throughput(scale: Scale) -> Table {
@@ -106,37 +106,29 @@ pub fn f1_fleet_throughput(scale: Scale) -> Table {
         table.push_row([
             workload.clone(),
             threads.to_string(),
-            trials.to_string(),
+            run.summary.trials.to_string(),
             fmt_f64(run.wall_ms),
             fmt_f64(run.trials_per_sec),
-            fmt_f64(run.stats.success_rate()),
-            fmt_f64(run.stats.value.mean()),
+            fmt_f64(run.summary.success_rate()),
+            run.summary
+                .mean_parallel_time()
+                .map(fmt_f64)
+                .unwrap_or_else(|| "-".into()),
         ]);
         runs.push(run);
     }
 
-    let reference = &runs[0].stats;
+    let reference = &runs[0].summary;
     for run in &runs[1..] {
         assert_eq!(
-            run.stats.value.mean().to_bits(),
-            reference.value.mean().to_bits(),
-            "fleet mean must be bit-identical across thread counts"
-        );
-        assert_eq!(
-            run.stats.value.sample_variance().to_bits(),
-            reference.value.sample_variance().to_bits(),
-            "fleet variance must be bit-identical across thread counts"
-        );
-        assert_eq!(
-            run.stats.samples(),
-            reference.samples(),
-            "fleet reservoir must be identical across thread counts"
+            &run.summary, reference,
+            "fleet summary must be bit-identical across thread counts"
         );
     }
     table.push_note(format!(
         "aggregates bit-identical across {} thread configuration(s): mean bits {:#018x}",
         runs.len(),
-        reference.value.mean().to_bits()
+        reference.mean_parallel_time().unwrap_or(0.0).to_bits()
     ));
     if let (Some(single), Some(multi)) = (
         runs.iter().find(|r| r.threads == 1),
@@ -165,13 +157,8 @@ mod tests {
     fn fleet_throughput_aggregates_are_thread_independent() {
         let a = measure_fleet_throughput(128, 8, 0xF1, 1);
         let b = measure_fleet_throughput(128, 8, 0xF1, 4);
-        assert_eq!(a.stats.trials, 8);
-        assert_eq!(a.stats.successes, b.stats.successes);
-        assert_eq!(
-            a.stats.value.mean().to_bits(),
-            b.stats.value.mean().to_bits()
-        );
-        assert_eq!(a.stats.samples(), b.stats.samples());
+        assert_eq!(a.summary.trials, 8);
+        assert_eq!(a.summary, b.summary);
         assert!(a.trials_per_sec > 0.0);
     }
 

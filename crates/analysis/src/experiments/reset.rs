@@ -168,16 +168,15 @@ pub fn e7_soft_reset(scale: Scale) -> Table {
     );
     for corrupted in [1usize, (n / 4).max(2), (n / 2).max(3)] {
         let trials = scale.trials();
-        let observations: Vec<SoftResetObservation> = (0..trials)
-            .map(|i| {
-                soft_reset_trial(
-                    n,
-                    r,
-                    corrupted,
-                    derive_seed(scale.base_seed() ^ 0xE7, (corrupted * 131 + i) as u64),
-                )
-            })
-            .collect();
+        // E7's own per-trial seeds, not the fleet's: they pin the table.
+        let observations = TrialFleet::new(trials, scale.base_seed() ^ 0xE7).run_indexed(|i, _| {
+            soft_reset_trial(
+                n,
+                r,
+                corrupted,
+                derive_seed(scale.base_seed() ^ 0xE7, (corrupted * 131 + i) as u64),
+            )
+        });
         let hard = observations.iter().filter(|o| o.hard_reset_seen).count();
         let soft = observations.iter().filter(|o| o.soft_reset_seen).count();
         let preserved = observations.iter().filter(|o| o.ranking_preserved).count();

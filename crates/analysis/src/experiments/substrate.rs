@@ -15,7 +15,7 @@ use ppsim::epidemic::{epidemic_constant, measure_epidemic_time_with, OneWayEpide
 use ppsim::rng::derive_seed;
 use ppsim::{
     AgentId, CleanInit, Configuration, EngineKind, InteractionCtx, Protocol, SimRng, Simulation,
-    SyntheticCoin,
+    SyntheticCoin, TrialFleet,
 };
 use rand::RngCore;
 use ssle_core::verify::{
@@ -38,18 +38,17 @@ pub fn e8_substrate(scale: Scale) -> Table {
     // Epidemic constant: completion interactions / (n ln n).
     for &n in &scale.n_values() {
         let trials = scale.trials();
-        let constants: Vec<f64> = (0..trials)
-            .map(|i| {
-                let t = measure_epidemic_time_with(
-                    OneWayEpidemic::new(n, 1),
-                    EngineKind::PerStep,
-                    derive_seed(scale.base_seed() ^ 0xE8, (n + i) as u64),
-                    (200 * n * n) as u64,
-                )
-                .expect("epidemic completes");
-                epidemic_constant(t, n)
-            })
-            .collect();
+        // E8's own per-trial seeds, not the fleet's: they pin the table.
+        let constants = TrialFleet::new(trials, scale.base_seed() ^ 0xE8).run_indexed(|i, _| {
+            let t = measure_epidemic_time_with(
+                OneWayEpidemic::new(n, 1),
+                EngineKind::PerStep,
+                derive_seed(scale.base_seed() ^ 0xE8, (n + i) as u64),
+                (200 * n * n) as u64,
+            )
+            .expect("epidemic completes");
+            epidemic_constant(t, n)
+        });
         table.push_row([
             "one-way epidemic constant c_epi".to_string(),
             format!("n = {n}"),
@@ -64,15 +63,12 @@ pub fn e8_substrate(scale: Scale) -> Table {
     let (_, r) = scale.recovery_instance();
     for &m in &[r.max(2), (2 * r).max(4)] {
         let trials = scale.trials();
-        let normalised: Vec<f64> = (0..trials)
-            .map(|i| {
-                let meetings = load_balancing_meetings(
-                    m,
-                    derive_seed(scale.base_seed() ^ 0xE8B, (m + i) as u64),
-                );
-                meetings as f64 / (m as f64 * (m as f64).ln().max(1.0))
-            })
-            .collect();
+        // E8's own per-trial seeds, as above.
+        let normalised = TrialFleet::new(trials, scale.base_seed() ^ 0xE8B).run_indexed(|i, _| {
+            let meetings =
+                load_balancing_meetings(m, derive_seed(scale.base_seed() ^ 0xE8B, (m + i) as u64));
+            meetings as f64 / (m as f64 * (m as f64).ln().max(1.0))
+        });
         table.push_row([
             "pairwise meetings to balance / (m ln m)".to_string(),
             format!("group size m = {m}"),

@@ -4,8 +4,10 @@
 //! run through [`ppsim::TrialFleet`]: one seed per trial derived from a base
 //! seed (so every table row is reproducible bit-for-bit), fanned out across
 //! worker threads, and returned in trial order regardless of scheduling.
-//! Each trial yields a [`StabilizationResult`]; [`summarize_trials`] folds a
-//! cell's records into a [`TrialSummary`].
+//! [`TrialSummary::of`] folds a cell's trial-ordered observations into a
+//! [`TrialSummary`] in one thread, so the summary does not depend on the
+//! thread count; [`summarize_trials`] does the same for trials that yield a
+//! [`StabilizationResult`].
 
 use ppsim::{StabilizationResult, Summary};
 use serde::Serialize;
@@ -23,6 +25,20 @@ pub struct TrialSummary {
 }
 
 impl TrialSummary {
+    /// Folds one cell's per-trial observations, in trial order and in one
+    /// thread, into a summary; `None` marks a trial that produced no value
+    /// (e.g. did not stabilize within budget). Given the trial-ordered
+    /// output of [`ppsim::TrialFleet::run`], the result is bit-identical
+    /// at every thread count.
+    pub fn of(observations: &[Option<f64>]) -> Self {
+        let successes: Vec<f64> = observations.iter().flatten().copied().collect();
+        TrialSummary {
+            trials: observations.len(),
+            successes: successes.len(),
+            parallel_time: (!successes.is_empty()).then(|| Summary::of(&successes)),
+        }
+    }
+
     /// Success rate in `[0, 1]`.
     pub fn success_rate(&self) -> f64 {
         if self.trials == 0 {
@@ -38,21 +54,14 @@ impl TrialSummary {
     }
 }
 
-/// Aggregates trial records into a [`TrialSummary`].
+/// Aggregates trial records into a [`TrialSummary`] of their stabilization
+/// parallel times.
 pub fn summarize_trials(outcomes: &[StabilizationResult]) -> TrialSummary {
-    let successes: Vec<f64> = outcomes
+    let times: Vec<Option<f64>> = outcomes
         .iter()
-        .filter_map(StabilizationResult::parallel_time)
+        .map(StabilizationResult::parallel_time)
         .collect();
-    TrialSummary {
-        trials: outcomes.len(),
-        successes: successes.len(),
-        parallel_time: if successes.is_empty() {
-            None
-        } else {
-            Some(Summary::of(&successes))
-        },
-    }
+    TrialSummary::of(&times)
 }
 
 #[cfg(test)]

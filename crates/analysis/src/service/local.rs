@@ -10,6 +10,7 @@
 //! the determinism of the experiments themselves.
 
 use crate::experiments;
+use crate::runner::TrialSummary;
 use crate::scale::Scale;
 use crate::service::{ExperimentService, JobSpec, ServiceError, SWEEP_EXPERIMENT};
 use crate::table::{fmt_f64, Table};
@@ -76,8 +77,8 @@ pub fn service_sweep(spec: &JobSpec) -> Table {
     for n in spec.scale.batched_n_values() {
         let nf = n as f64;
         let budget = (50.0 * nf * nf.ln().max(1.0)).ceil() as u64;
-        let stats = TrialFleet::new(spec.trials, derive_seed(spec.seed, n as u64)).run_stats(
-            |trial_seed| {
+        let observations =
+            TrialFleet::new(spec.trials, derive_seed(spec.seed, n as u64)).run(|trial_seed| {
                 measure_epidemic_time_with(
                     OneWayEpidemic::new(n, 1),
                     spec.engine,
@@ -85,21 +86,8 @@ pub fn service_sweep(spec: &JobSpec) -> Table {
                     budget,
                 )
                 .map(|interactions| interactions as f64 / nf)
-            },
-        );
-        let mut digest = Fnv64::new();
-        for sample in stats.samples() {
-            digest.write_f64_bits(*sample);
-        }
-        table.push_row([
-            n.to_string(),
-            stats.trials.to_string(),
-            stats.successes.to_string(),
-            fmt_f64(stats.value.mean()),
-            fmt_f64(stats.value.min()),
-            fmt_f64(stats.value.max()),
-            hex16(digest.finish()),
-        ]);
+            });
+        table.push_row(sweep_row(n, &observations));
     }
     table.push_note(format!("spec: {}", spec.canonical_json()));
     table.push_note(format!("result id: {}", spec.cache_key()));
@@ -109,6 +97,33 @@ pub fn service_sweep(spec: &JobSpec) -> Table {
             .to_string(),
     );
     table
+}
+
+/// One sweep cell: counts, the mean and extremes of the completion times
+/// (`0`, `inf` and `-inf` when no trial completed), and the FNV digest of
+/// their bit patterns in ascending order.
+fn sweep_row(n: usize, observations: &[Option<f64>]) -> [String; 7] {
+    let summary = TrialSummary::of(observations);
+    let (mean, min, max) = summary
+        .parallel_time
+        .map_or((0.0, f64::INFINITY, f64::NEG_INFINITY), |s| {
+            (s.mean, s.min, s.max)
+        });
+    let mut sample: Vec<f64> = observations.iter().flatten().copied().collect();
+    sample.sort_by(f64::total_cmp);
+    let mut digest = Fnv64::new();
+    for value in sample {
+        digest.write_f64_bits(value);
+    }
+    [
+        n.to_string(),
+        summary.trials.to_string(),
+        summary.successes.to_string(),
+        fmt_f64(mean),
+        fmt_f64(min),
+        fmt_f64(max),
+        hex16(digest.finish()),
+    ]
 }
 
 /// Whether `scale` keeps the sweep cheap enough for inline test use.
@@ -152,6 +167,23 @@ mod tests {
                 "every epidemic trial must complete: {row:?}"
             );
         }
+    }
+
+    #[test]
+    fn sweep_row_renders_a_cell_without_completions() {
+        let row = sweep_row(64, &[None, None]);
+        assert_eq!(
+            row,
+            [
+                "64",
+                "2",
+                "0",
+                "0",
+                "inf",
+                "-inf",
+                &hex16(Fnv64::new().finish())
+            ]
+        );
     }
 
     #[test]

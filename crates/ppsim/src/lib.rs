@@ -37,9 +37,9 @@
 //!   state space is too large to enumerate, assigning indices lazily as
 //!   states are first reached,
 //! * [`fleet`] — [`TrialFleet`]: parallel fan-out of independent seeded
-//!   trials over [`SimBuilder`]-built engines across worker threads, with
-//!   merge-able streaming statistics ([`FleetStats`]) whose results are
-//!   bit-identical regardless of thread count,
+//!   trials over [`SimBuilder`]-built engines across worker threads,
+//!   returning per-trial results in trial order, so aggregates folded from
+//!   them ([`Summary`]) are bit-identical regardless of thread count,
 //! * [`telemetry`] — engine-internal tracing: a zero-cost-when-disabled
 //!   [`Telemetry`] handle threaded through [`SimBuilder`] into every tier,
 //!   recording counters, histograms and span timings split into a
@@ -51,8 +51,8 @@
 //! * [`epidemic`] — one-way/two-way epidemic protocols and measurement helpers
 //!   (the paper's Lemma A.2 workhorse),
 //! * [`coin`] — the synthetic-coin derandomization of the paper's Appendix B,
-//! * [`stats`] — summaries, histograms and log–log slope fits used to check
-//!   asymptotic shapes.
+//! * [`stats`] — summaries, a two-sample KS distance and log–log slope fits
+//!   used to check asymptotic shapes.
 //!
 //! # Quick example
 //!
@@ -126,7 +126,7 @@ pub use engine::{
 };
 pub use enumerable::EnumerableProtocol;
 pub use error::SimError;
-pub use fleet::{FleetStats, KsReservoir, RunningStats, TrialFleet};
+pub use fleet::TrialFleet;
 pub use indexer::{DiscoveredProtocol, SupportEnumerable};
 pub use mem::{peak_rss_bytes, reset_peak_rss};
 pub use metrics::InteractionMetrics;

@@ -1,8 +1,9 @@
 //! Summary statistics for experiment results.
 //!
 //! Small, dependency-free statistics helpers: five-number-style summaries,
-//! histograms, and a log–log least-squares slope used to check asymptotic
-//! shapes (e.g. "stabilization time scales like `1/r`").
+//! a two-sample Kolmogorov–Smirnov distance, and a log–log least-squares
+//! slope used to check asymptotic shapes (e.g. "stabilization time scales
+//! like `1/r`").
 
 use serde::Serialize;
 
@@ -59,15 +60,6 @@ impl Summary {
             p90: percentile(&sorted, 0.90),
             max: sorted[count - 1],
         }
-    }
-
-    /// Half-width of a normal-approximation 95% confidence interval for the
-    /// mean.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        1.96 * self.std_dev / (self.count as f64).sqrt()
     }
 }
 
@@ -148,64 +140,6 @@ pub fn ks_distance(a: &[f64], b: &[f64]) -> f64 {
     d
 }
 
-/// A fixed-width histogram over `[min, max)`.
-#[derive(Debug, Clone, Serialize)]
-pub struct Histogram {
-    min: f64,
-    max: f64,
-    bins: Vec<u64>,
-    below: u64,
-    above: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins covering `[min, max)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is zero or `min >= max`.
-    pub fn new(min: f64, max: f64, bins: usize) -> Self {
-        assert!(bins > 0, "a histogram needs at least one bin");
-        assert!(min < max, "histogram range must be non-empty");
-        Histogram {
-            min,
-            max,
-            bins: vec![0; bins],
-            below: 0,
-            above: 0,
-        }
-    }
-
-    /// Records an observation.
-    pub fn record(&mut self, value: f64) {
-        if value < self.min {
-            self.below += 1;
-        } else if value >= self.max {
-            self.above += 1;
-        } else {
-            let width = (self.max - self.min) / self.bins.len() as f64;
-            let idx = ((value - self.min) / width) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// The per-bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below / above the range.
-    pub fn outliers(&self) -> (u64, u64) {
-        (self.below, self.above)
-    }
-
-    /// Total number of recorded observations, including outliers.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.below + self.above
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,14 +153,12 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 5.0);
         assert!((s.std_dev - (2.5f64).sqrt()).abs() < 1e-12);
-        assert!(s.ci95_half_width() > 0.0);
     }
 
     #[test]
     fn summary_single_value() {
         let s = Summary::of(&[7.0]);
         assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
         assert_eq!(s.median, 7.0);
     }
 
@@ -273,22 +205,5 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn ks_distance_rejects_empty_samples() {
         let _ = ks_distance(&[], &[1.0]);
-    }
-
-    #[test]
-    fn histogram_bins_and_outliers() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for v in [-1.0, 0.0, 1.9, 2.0, 9.9, 10.0, 50.0] {
-            h.record(v);
-        }
-        assert_eq!(h.bins(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.outliers(), (1, 2));
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_rejected() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 }

@@ -36,8 +36,7 @@
 //!
 //! Reports [`merge`](TelemetryReport::merge) associatively enough for fleet
 //! use: counters and histograms add, span statistics merge Welford/Chan
-//! style (the same discipline as [`RunningStats`](crate::RunningStats)),
-//! event lists concatenate. Folding per-trial reports **in trial order**
+//! style, event lists concatenate. Folding per-trial reports **in trial order**
 //! (the order [`TrialFleet::run`](crate::TrialFleet::run) already
 //! guarantees) keeps the merged deterministic stream bit-identical across
 //! worker-thread counts.

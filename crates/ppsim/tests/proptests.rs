@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation substrate.
 
-use ppsim::stats::{log_log_slope, Histogram};
+use ppsim::stats::log_log_slope;
 use ppsim::{
     parallel_time, AgentId, Configuration, CountConfiguration, EnumerableProtocol, InteractionCtx,
     OrderedPair, Protocol, Scheduler, SimRng, Summary, SyntheticCoin, UniformScheduler,
@@ -63,16 +63,6 @@ proptest! {
         prop_assert!(s.p90 <= s.max + 1e-9);
         prop_assert!(s.mean >= s.min - 1e-9 && s.mean <= s.max + 1e-9);
         prop_assert_eq!(s.count, values.len());
-    }
-
-    /// A histogram never loses observations.
-    #[test]
-    fn histogram_conserves_observations(values in prop::collection::vec(-10f64..20.0, 0..200)) {
-        let mut h = Histogram::new(0.0, 10.0, 7);
-        for &v in &values {
-            h.record(v);
-        }
-        prop_assert_eq!(h.total() as usize, values.len());
     }
 
     /// The log-log slope of an exact power law recovers its exponent.
@@ -387,158 +377,4 @@ fn scheduler_stream_is_reproducible() {
         .map(|_| sched.next_pair(9, &mut rng).unwrap())
         .collect();
     assert_ne!(draw(5), shifted);
-}
-
-mod fleet_merge {
-    //! TrialFleet merge-aggregation equals the sequential single-pass
-    //! statistics on random trial sets.
-
-    use ppsim::fleet::{FleetStats, KsReservoir, RunningStats};
-    use ppsim::TrialFleet;
-    use proptest::prelude::*;
-
-    /// Relative-tolerance comparison for values accumulated in different
-    /// float association orders.
-    fn close(a: f64, b: f64) -> bool {
-        (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()))
-    }
-
-    proptest! {
-        /// Merging chunked RunningStats accumulators in order equals one
-        /// sequential pass, up to reassociation round-off.
-        #[test]
-        fn chunked_running_stats_merge_equals_single_pass(
-            values in prop::collection::vec(-1e6f64..1e6, 1..200),
-            chunk in 1usize..40,
-        ) {
-            let mut single = RunningStats::new();
-            values.iter().for_each(|v| single.push(*v));
-
-            let mut merged = RunningStats::new();
-            for block in values.chunks(chunk) {
-                let mut acc = RunningStats::new();
-                block.iter().for_each(|v| acc.push(*v));
-                merged.merge(&acc);
-            }
-
-            prop_assert_eq!(merged.count(), single.count());
-            prop_assert!(close(merged.mean(), single.mean()));
-            prop_assert!(
-                (merged.sample_variance() - single.sample_variance()).abs()
-                    <= 1e-6 * (1.0 + single.sample_variance().abs())
-            );
-            prop_assert_eq!(merged.min(), single.min());
-            prop_assert_eq!(merged.max(), single.max());
-        }
-
-        /// An uncompressed reservoir merge is exactly the sorted union.
-        #[test]
-        fn reservoir_merge_below_cap_is_exact(
-            a in prop::collection::vec(-1e3f64..1e3, 0..50),
-            b in prop::collection::vec(-1e3f64..1e3, 0..50),
-        ) {
-            let mut ra = KsReservoir::new(128);
-            let mut rb = KsReservoir::new(128);
-            a.iter().for_each(|v| ra.push(*v));
-            b.iter().for_each(|v| rb.push(*v));
-            ra.merge(&rb);
-
-            let mut expected: Vec<f64> = a.iter().chain(&b).copied().collect();
-            expected.sort_by(f64::total_cmp);
-            prop_assert_eq!(ra.samples(), &expected[..]);
-        }
-
-        /// A compressed reservoir stays sorted, at capacity, and keeps the
-        /// true extremes.
-        #[test]
-        fn reservoir_compression_preserves_extremes(
-            values in prop::collection::vec(-1e3f64..1e3, 20..200),
-            cap in 2usize..16,
-        ) {
-            let mut r = KsReservoir::new(cap);
-            let mut other = KsReservoir::new(cap);
-            values.iter().for_each(|v| other.push(*v));
-            r.merge(&other);
-
-            let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-            let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let kept = r.samples();
-            prop_assert!(kept.len() <= cap);
-            prop_assert_eq!(kept[0], lo);
-            prop_assert_eq!(kept[kept.len() - 1], hi);
-            prop_assert!(kept.windows(2).all(|w| w[0] <= w[1]));
-        }
-
-        /// TrialFleet::run_stats over a synthetic observation function
-        /// matches a hand-rolled sequential fold: identical integer counts
-        /// and extremes, float moments within reassociation tolerance —
-        /// for every fleet size and chunk size.
-        #[test]
-        fn fleet_run_stats_equals_sequential_fold(
-            trials in 1usize..150,
-            base in any::<u64>(),
-            chunk in 1usize..48,
-        ) {
-            let observe = |seed: u64| -> Option<f64> {
-                if seed % 5 == 0 {
-                    None
-                } else {
-                    Some((seed % 4096) as f64 - 2048.0 + (seed % 17) as f64 / 17.0)
-                }
-            };
-            let fleet = TrialFleet::new(trials, base).stats_chunk(chunk);
-            let parallel = fleet.run_stats(observe);
-
-            let mut sequential = FleetStats::new();
-            for i in 0..trials {
-                sequential.record(observe(fleet.trial_seed(i)));
-            }
-
-            prop_assert_eq!(parallel.trials, sequential.trials);
-            prop_assert_eq!(parallel.successes, sequential.successes);
-            if parallel.successes > 0 {
-                prop_assert!(close(parallel.value.mean(), sequential.value.mean()));
-                prop_assert!(
-                    (parallel.value.sample_variance() - sequential.value.sample_variance()).abs()
-                        <= 1e-6 * (1.0 + sequential.value.sample_variance().abs())
-                );
-                prop_assert_eq!(parallel.value.min(), sequential.value.min());
-                prop_assert_eq!(parallel.value.max(), sequential.value.max());
-                // Under the reservoir cap both sides hold the full sorted
-                // sample, so they agree exactly.
-                prop_assert_eq!(parallel.samples(), sequential.samples());
-            }
-        }
-
-        /// FleetStats::merge is consistent with recording the observations
-        /// one after the other.
-        #[test]
-        fn fleet_stats_merge_equals_concatenation(
-            raw_a in prop::collection::vec(-1e3f64..1e3, 0..60),
-            raw_b in prop::collection::vec(-1e3f64..1e3, 0..60),
-        ) {
-            // Encode failures as the low quarter of the range, so random
-            // trial sets mix Some and None observations.
-            let to_obs = |v: &f64| if *v < -500.0 { None } else { Some(*v) };
-            let a: Vec<Option<f64>> = raw_a.iter().map(to_obs).collect();
-            let b: Vec<Option<f64>> = raw_b.iter().map(to_obs).collect();
-            let mut left = FleetStats::new();
-            let mut right = FleetStats::new();
-            a.iter().for_each(|o| left.record(*o));
-            b.iter().for_each(|o| right.record(*o));
-            left.merge(&right);
-
-            let mut whole = FleetStats::new();
-            a.iter().chain(&b).for_each(|o| whole.record(*o));
-
-            prop_assert_eq!(left.trials, whole.trials);
-            prop_assert_eq!(left.successes, whole.successes);
-            if whole.successes > 0 {
-                prop_assert!(close(left.value.mean(), whole.value.mean()));
-                prop_assert_eq!(left.value.min(), whole.value.min());
-                prop_assert_eq!(left.value.max(), whole.value.max());
-                prop_assert_eq!(left.samples(), whole.samples());
-            }
-        }
-    }
 }

@@ -32,7 +32,7 @@ use crate::queue::JobQueue;
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (tests rely on this).
     pub addr: String,
-    /// Worker pool size (clamped to at least 1).
+    /// Worker pool size; [`spawn`] rejects 0 with [`ServerError::NoWorkers`].
     pub workers: usize,
     /// Result-cache directory; `None` keeps the cache memory-only.
     pub cache_dir: Option<PathBuf>,
@@ -55,6 +55,8 @@ pub enum ServerError {
     Bind(String),
     /// The cache directory could not be prepared.
     Cache(String),
+    /// The configuration asks for no workers, so no job would ever run.
+    NoWorkers,
 }
 
 impl std::fmt::Display for ServerError {
@@ -62,6 +64,7 @@ impl std::fmt::Display for ServerError {
         match self {
             ServerError::Bind(why) => write!(f, "cannot bind listener: {why}"),
             ServerError::Cache(why) => write!(f, "cannot prepare result cache: {why}"),
+            ServerError::NoWorkers => write!(f, "the worker pool needs at least one worker"),
         }
     }
 }
@@ -124,6 +127,9 @@ impl ServerHandle {
 
 /// Starts the daemon described by `config`.
 pub fn spawn(config: ServerConfig) -> Result<ServerHandle, ServerError> {
+    if config.workers == 0 {
+        return Err(ServerError::NoWorkers);
+    }
     let cache = match &config.cache_dir {
         Some(dir) => ResultCache::with_dir(dir).map_err(|e| ServerError::Cache(e.to_string()))?,
         None => ResultCache::in_memory(),
@@ -132,14 +138,13 @@ pub fn spawn(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     let addr = listener
         .local_addr()
         .map_err(|e| ServerError::Bind(e.to_string()))?;
-    let worker_count = config.workers.max(1);
     let shared = Arc::new(Shared {
         queue: JobQueue::new(),
         cache,
-        workers: worker_count as u64,
+        workers: config.workers as u64,
         stopping: AtomicBool::new(false),
     });
-    let workers = (0..worker_count)
+    let workers = (0..config.workers)
         .map(|_| {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || worker_loop(&shared))
@@ -280,6 +285,16 @@ mod tests {
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();
         response
+    }
+
+    #[test]
+    fn spawn_rejects_an_empty_worker_pool() {
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 0,
+            cache_dir: None,
+        };
+        assert_eq!(spawn(config).err(), Some(ServerError::NoWorkers));
     }
 
     #[test]

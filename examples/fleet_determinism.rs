@@ -9,7 +9,13 @@
 //! cmp one.csv four.csv   # must be identical
 //! ```
 //!
-//! This is the workload behind the CI `fleet-determinism` job. Every float
+//! Arguments: the trials per epidemic workload (default 96; the
+//! `ElectLeader_r` workload runs a sixth of them) and `--trace <path>`. A
+//! bad token prints the usage and exits with status 2.
+//!
+//! This is the workload behind the CI `fleet-determinism` job. Each
+//! workload's trials run through `TrialFleet::run` and are folded in trial
+//! order, in one thread, by `analysis::TrialSummary::of`. Every float
 //! is rendered through `f64::to_bits` (hex), so even a one-ulp divergence
 //! between schedules breaks the diff; there are no wall-clock columns to
 //! launder nondeterminism through. The thread count is *reported* on stderr
@@ -27,27 +33,29 @@
 //! events with no wall-clock fields, so the exported file must also be
 //! byte-identical across thread counts.
 
+use analysis::TrialSummary;
+use harness::Cli;
 use ppsim::digest::Fnv64;
 use ppsim::epidemic::{measure_epidemic_time_with, OneWayEpidemic};
 use ppsim::simulation::StabilizationOptions;
-use ppsim::{
-    DiscoveredProtocol, EngineKind, FleetStats, SimBuilder, Telemetry, TelemetryReport, TrialFleet,
-};
+use ppsim::{DiscoveredProtocol, EngineKind, SimBuilder, Telemetry, TelemetryReport, TrialFleet};
 use ssle_core::{output, ElectLeader};
+
+const USAGE: &str = "usage: fleet_determinism [trials] [--trace <path>]";
 
 const BASE_SEED: u64 = 0xDE7E_2141;
 
-fn epidemic_stats(trials: usize, n: usize) -> FleetStats {
+fn epidemic_times(trials: usize, n: usize) -> Vec<Option<f64>> {
     let nf = n as f64;
     let budget = (50.0 * nf * nf.ln().max(1.0)).ceil() as u64;
-    TrialFleet::new(trials, BASE_SEED).run_stats(|seed| {
+    TrialFleet::new(trials, BASE_SEED).run(|seed| {
         measure_epidemic_time_with(OneWayEpidemic::new(n, 1), EngineKind::Auto, seed, budget)
             .map(|interactions| interactions as f64 / nf)
     })
 }
 
-fn elect_leader_stats(trials: usize, n: usize, r: usize) -> FleetStats {
-    TrialFleet::new(trials, BASE_SEED ^ 0xE1).run_stats(|seed| {
+fn elect_leader_times(trials: usize, n: usize, r: usize) -> Vec<Option<f64>> {
+    TrialFleet::new(trials, BASE_SEED ^ 0xE1).run(|seed| {
         let protocol = ElectLeader::with_n_r(n, r).expect("valid parameters");
         let budget = protocol.params().suggested_budget();
         let opts = StabilizationOptions::new(n, budget);
@@ -87,52 +95,60 @@ fn traced_epidemic_det_stream(trials: usize, n: usize) -> String {
     merged.deterministic_jsonl()
 }
 
-fn emit(workload: &str, stats: &FleetStats) {
-    // Digest of the full retained sample: every observation's bit pattern
-    // folded in (word-wise, `ppsim::digest::Fnv64` — the CI diff contract
-    // pins this fold), so a single reordered or perturbed sample changes the
-    // row.
+fn emit(workload: &str, observations: &[Option<f64>]) {
+    let summary = TrialSummary::of(observations);
+    let (mean, std_dev, min, max) = summary
+        .parallel_time
+        .map_or((0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY), |s| {
+            (s.mean, s.std_dev, s.min, s.max)
+        });
+    // Digest of the successful observations in ascending order: every
+    // value's bit pattern folded in (word-wise, `ppsim::digest::Fnv64` — the
+    // CI diff contract pins this fold), so a single perturbed sample changes
+    // the row.
+    let mut sample: Vec<f64> = observations.iter().flatten().copied().collect();
+    sample.sort_by(f64::total_cmp);
     let mut hasher = Fnv64::new();
-    for v in stats.samples() {
+    for v in &sample {
         hasher.write_f64_bits(*v);
     }
-    let sample_digest = hasher.finish();
     println!(
         "{workload},{},{},{:#018x},{:#018x},{:#018x},{:#018x},{},{:#018x}",
-        stats.trials,
-        stats.successes,
-        stats.value.mean().to_bits(),
-        stats.value.sample_variance().to_bits(),
-        stats.value.min().to_bits(),
-        stats.value.max().to_bits(),
-        stats.samples().len(),
-        sample_digest,
+        summary.trials,
+        summary.successes,
+        mean.to_bits(),
+        std_dev.to_bits(),
+        min.to_bits(),
+        max.to_bits(),
+        sample.len(),
+        hasher.finish(),
     );
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_at = args.iter().position(|a| a == "--trace");
-    let trace_path = trace_at.and_then(|i| args.get(i + 1)).cloned();
-    let trials: usize = args
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| trace_at.map_or(true, |t| *i != t && *i != t + 1))
-        .map(|(_, a)| a)
-        .next()
-        .and_then(|a| a.parse().ok())
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    // `--trace <path>` may stand anywhere; what is left is the trial count.
+    let trace = args.iter().position(|a| a == "--trace").map(|at| {
+        let path = args.get(at + 1).cloned();
+        args.drain(at..(at + 2).min(args.len()));
+        path
+    });
+    let cli = Cli::new(USAGE, args, 1);
+    let trace_path = trace.map(|path| path.unwrap_or_else(|| cli.reject("`--trace` needs a path")));
+    let trials = cli
+        .arg_with(0, |t| t.parse().ok().filter(|&t: &usize| t > 0))
         .unwrap_or(96);
     eprintln!(
         "fleet determinism probe: {trials} trials/workload on {} worker thread(s)",
         rayon::current_num_threads()
     );
     println!(
-        "workload,trials,successes,mean_bits,variance_bits,min_bits,max_bits,samples,sample_digest"
+        "workload,trials,successes,mean_bits,std_dev_bits,min_bits,max_bits,samples,sample_digest"
     );
-    emit("epidemic_auto_n512", &epidemic_stats(trials, 512));
+    emit("epidemic_auto_n512", &epidemic_times(trials, 512));
     emit(
         "elect_leader_n12_r3",
-        &elect_leader_stats(trials.div_ceil(6), 12, 3),
+        &elect_leader_times(trials.div_ceil(6), 12, 3),
     );
     if let Some(path) = trace_path {
         let jsonl = traced_epidemic_det_stream(trials, 512);

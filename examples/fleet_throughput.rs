@@ -14,13 +14,20 @@
 //! against scheduler jitter. On a single-core host the assertion is vacuous
 //! and the example says so.
 //!
-//! The aggregates of the two runs are also compared bit-for-bit — the
-//! determinism guarantee, enforced wherever the smoke runs.
+//! The trial summaries of the two runs are also compared bit-for-bit — the
+//! determinism guarantee, enforced wherever the smoke runs. Any argument
+//! other than `--assert` prints the usage and exits with status 2.
 
 use analysis::experiments::fleet::measure_fleet_throughput;
+use harness::Cli;
+
+const USAGE: &str = "usage: fleet_throughput [--assert]";
 
 fn main() {
-    let assert_speedup = std::env::args().any(|a| a == "--assert");
+    let cli = Cli::new(USAGE, std::env::args().skip(1), 1);
+    let assert_speedup = cli
+        .arg_with(0, |token| (token == "--assert").then_some(()))
+        .is_some();
     let available = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -49,14 +56,8 @@ fn main() {
     println!("  speedup  : {speedup:.2}× trials/sec");
 
     assert_eq!(
-        single.stats.value.mean().to_bits(),
-        multi.stats.value.mean().to_bits(),
-        "aggregated mean must be bit-identical across thread counts"
-    );
-    assert_eq!(
-        single.stats.samples(),
-        multi.stats.samples(),
-        "retained sample must be identical across thread counts"
+        single.summary, multi.summary,
+        "trial summary must be bit-identical across thread counts"
     );
     println!("  aggregates bit-identical across thread counts: ok");
 

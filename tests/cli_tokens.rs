@@ -1,5 +1,5 @@
-//! The examples reject a mistyped engine or number token with their usage
-//! and exit status 2 instead of running a default.
+//! The examples reject a mistyped engine, number or flag token with their
+//! usage and exit status 2 instead of running a default.
 
 use std::process::{Command, Output};
 
@@ -96,4 +96,20 @@ fn adversarial_recovery_rejects_bad_tokens_and_parameters() {
     assert_rejected(name, &["32", "8", "7", "extra"], "extra");
     assert_rejected(name, &["32", "17"], "32 17");
     assert_rejected(name, &["2"], "2 8");
+}
+
+#[test]
+fn fleet_throughput_rejects_anything_but_assert() {
+    assert_rejected("fleet_throughput", &["--asert"], "--asert");
+    assert_rejected("fleet_throughput", &["--assert", "extra"], "extra");
+}
+
+#[test]
+fn fleet_determinism_rejects_bad_tokens() {
+    let name = "fleet_determinism";
+    assert_rejected(name, &["abc"], "abc");
+    assert_rejected(name, &["0"], "0");
+    assert_rejected(name, &["8", "extra"], "extra");
+    assert_rejected(name, &["8", "--trace"], "--trace");
+    assert_rejected(name, &["--trace", "t.jsonl", "8", "extra"], "extra");
 }
