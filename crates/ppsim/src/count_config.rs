@@ -32,15 +32,31 @@ use std::fmt;
 /// rejected with [`crate::SimError::UnsupportedPopulation`].
 pub const MAX_POPULATION: u64 = 1 << 62;
 
-/// How many counts [`CountConfiguration::occupied`] tests for emptiness at
-/// once.
-const OCCUPIED_CHUNK: usize = 16;
-
 /// A configuration stored as per-state agent counts.
+///
+/// Next to the counts it keeps an occupancy bitset (bit `i` is set iff
+/// `counts[i] > 0`), so [`CountConfiguration::occupied`] costs one word
+/// read per 64 states plus one step per occupied state. Every count
+/// mutation goes through a method of this type and keeps the bitset.
 #[derive(Clone, PartialEq, Eq, Serialize)]
 pub struct CountConfiguration {
     counts: Vec<u64>,
+    occupancy: Vec<u64>,
     population: u64,
+}
+
+/// The occupancy bitset of `counts`: bit `i % 64` of word `i / 64` is set
+/// iff `counts[i] > 0`.
+fn occupancy_of(counts: &[u64]) -> Vec<u64> {
+    counts
+        .chunks(64)
+        .map(|chunk| {
+            chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |word, (bit, &c)| word | (u64::from(c != 0) << bit))
+        })
+        .collect()
 }
 
 impl CountConfiguration {
@@ -53,7 +69,16 @@ impl CountConfiguration {
     pub fn from_counts(counts: Vec<u64>) -> Self {
         let population = counts.iter().sum();
         assert!(population > 0, "a population must have at least one agent");
-        CountConfiguration { counts, population }
+        Self::with_population(counts, population)
+    }
+
+    /// Wraps counts known to sum to `population`, building their bitset.
+    fn with_population(counts: Vec<u64>, population: u64) -> Self {
+        CountConfiguration {
+            occupancy: occupancy_of(&counts),
+            counts,
+            population,
+        }
     }
 
     /// Builds the count view of a per-agent configuration under the
@@ -87,10 +112,7 @@ impl CountConfiguration {
             counts.len() - 1
         );
         counts.resize(q, 0);
-        CountConfiguration {
-            counts,
-            population: config.len() as u64,
-        }
+        Self::with_population(counts, config.len() as u64)
     }
 
     /// Builds the count view of the protocol's **clean** initial
@@ -139,10 +161,7 @@ impl CountConfiguration {
             counts.len() - 1
         );
         counts.resize(q, 0);
-        CountConfiguration {
-            counts,
-            population: n as u64,
-        }
+        Self::with_population(counts, n as u64)
     }
 
     /// Materializes a per-agent configuration, with agents ordered by
@@ -190,7 +209,7 @@ impl CountConfiguration {
                 remaining -= draw;
             }
         }
-        CountConfiguration { counts, population }
+        Self::with_population(counts, population)
     }
 
     /// The population size `n`.
@@ -216,6 +235,7 @@ impl CountConfiguration {
     pub fn ensure_num_states(&mut self, num_states: usize) {
         if num_states > self.counts.len() {
             self.counts.resize(num_states, 0);
+            self.occupancy.resize(num_states.div_ceil(64), 0);
         }
     }
 
@@ -228,21 +248,44 @@ impl CountConfiguration {
     /// ascending state index, skipping empty states.
     ///
     /// A discovered run leaves most slots empty (tens of thousands of
-    /// interned states, at most `n` occupied), so the scan ORs fixed chunks
-    /// of 16 counts and filters per element only inside chunks that hold an
-    /// agent.
+    /// interned states, at most `n` occupied), so the walk reads the
+    /// occupancy bitset a word at a time and visits only its set bits.
     pub fn occupied(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.counts
-            .chunks(OCCUPIED_CHUNK)
+        self.occupancy
+            .iter()
             .enumerate()
-            .filter(|(_, chunk)| chunk.iter().fold(0, |any, &c| any | c) != 0)
-            .flat_map(|(k, chunk)| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(move |(i, &c)| (k * OCCUPIED_CHUNK + i, c))
+            .flat_map(move |(w, &word)| {
+                let mut bits = word;
+                std::iter::from_fn(move || {
+                    if bits == 0 {
+                        return None;
+                    }
+                    let index = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    Some((index, self.counts[index]))
+                })
             })
+    }
+
+    /// Brings the occupancy bit of `state` in line with its count. The bit
+    /// rarely changes, so the store sits behind a branch: an unconditional
+    /// read-modify-write chains every update on one word through memory.
+    fn sync_occupancy(&mut self, state: usize) {
+        let bit = 1u64 << (state % 64);
+        let word = &mut self.occupancy[state / 64];
+        if (*word & bit != 0) != (self.counts[state] != 0) {
+            *word ^= bit;
+        }
+    }
+
+    /// [`Self::sync_occupancy`] over several states: the rare path of the
+    /// transition and batch updates, kept out of their hot loops.
+    #[cold]
+    #[inline(never)]
+    fn sync_occupancy_of(&mut self, states: impl IntoIterator<Item = usize>) {
+        for state in states {
+            self.sync_occupancy(state);
+        }
     }
 
     /// Counts the agents whose *decoded* state satisfies the predicate.
@@ -297,10 +340,15 @@ impl CountConfiguration {
             assert!(self.counts[from.0] >= 1, "state {} is empty", from.0);
             assert!(self.counts[from.1] >= 1, "state {} is empty", from.1);
         }
+        // Only a filled `to` state or an emptied `from` state moves a bit.
+        let filled = (self.counts[to.0] == 0) | (self.counts[to.1] == 0);
         self.counts[from.0] -= 1;
         self.counts[from.1] -= 1;
         self.counts[to.0] += 1;
         self.counts[to.1] += 1;
+        if filled | (self.counts[from.0] == 0) | (self.counts[from.1] == 0) {
+            self.sync_occupancy_of([from.0, from.1, to.0, to.1]);
+        }
     }
 
     /// Commits a whole batch of transitions at once: `removals` agents leave
@@ -325,12 +373,20 @@ impl CountConfiguration {
                 self.counts[state]
             );
             self.counts[state] -= count;
+            self.sync_occupancy(state);
             removed += count;
         }
         let mut added = 0u64;
         for &(state, count) in additions {
             self.counts[state] += count;
             added += count;
+        }
+        // The removals left the bitset exact, so the agents on set bits
+        // number `population` iff no addition landed on an empty state.
+        // Checking that once keeps the additions loop (~10⁸ entries per
+        // large epidemic run) as lean as a plain count update.
+        if self.occupied().map(|(_, c)| c).sum::<u64>() != self.population {
+            self.sync_occupancy_of(additions.iter().map(|&(state, _)| state));
         }
         assert_eq!(
             removed, added,
@@ -501,12 +557,12 @@ mod tests {
         assert!(!counts.any(&p, |s| *s == 1));
     }
 
-    /// The chunked scan must yield exactly the naive filter's pairs, in
-    /// ascending order, whatever the length's remainder mod the chunk size.
+    /// The bitset walk must yield exactly the naive filter's pairs, in
+    /// ascending order, whatever the length's remainder mod the word size.
     #[test]
     fn occupied_matches_the_naive_filter() {
         let mut rng = SimRng::seed_from_u64(17);
-        for len in [1usize, 15, 16, 17, 33, 1000] {
+        for len in [1usize, 15, 16, 17, 33, 63, 64, 65, 128, 1000] {
             let sparse: Vec<u64> = (0..len)
                 .map(|i| {
                     if i % 37 == 5 || i + 1 == len {
@@ -533,9 +589,9 @@ mod tests {
                     .filter(|(_, &c)| c > 0)
                     .map(|(i, &c)| (i, c))
                     .collect();
-                let chunked: Vec<(usize, u64)> = config.occupied().collect();
-                assert_eq!(chunked, naive, "length {len}");
-                assert!(chunked.windows(2).all(|w| w[0].0 < w[1].0));
+                let walked: Vec<(usize, u64)> = config.occupied().collect();
+                assert_eq!(walked, naive, "length {len}");
+                assert!(walked.windows(2).all(|w| w[0].0 < w[1].0));
             }
         }
     }

@@ -38,7 +38,8 @@
 //! distribution — trajectories differ from both other engines under the same
 //! seed (randomness is consumed differently), but all distributions over
 //! configurations and hitting times agree. Cost is `O(#occupied states +
-//! #distinct pair groups)` per `Θ(√n)` interactions, independent of how many
+//! #distinct pair groups)` per `Θ(√n)` interactions, plus one word read per
+//! 64 tracked states to find the occupied ones, independent of how many
 //! of them change state — the complementary trade to the batched engine,
 //! which skips silence for free but pays for every change. The price is that
 //! silence is **not** skipped: a nearly frozen configuration still costs one

@@ -25,8 +25,9 @@
 //! * the **timing stream** (`"stream":"time"`): wall-clock span statistics
 //!   (via the one lint-sanctioned clock in [`clock`]) and process gauges
 //!   (peak RSS, survival-table builds — both machine- or schedule-
-//!   dependent). Never fed back into RNG or control flow; stripped before
-//!   any byte-identity comparison.
+//!   dependent, read once when [`Telemetry::report`] takes the snapshot, so
+//!   one report always exports the same bytes). Never fed back into RNG or
+//!   control flow; stripped before any byte-identity comparison.
 //!
 //! Telemetry **never consumes randomness and never alters control flow**:
 //! enabling it cannot move a trajectory, which the engine test-suite pins
@@ -36,10 +37,11 @@
 //!
 //! Reports [`merge`](TelemetryReport::merge) associatively enough for fleet
 //! use: counters and histograms add, span statistics merge Welford/Chan
-//! style, event lists concatenate. Folding per-trial reports **in trial order**
-//! (the order [`TrialFleet::run`](crate::TrialFleet::run) already
-//! guarantees) keeps the merged deterministic stream bit-identical across
-//! worker-thread counts.
+//! style, event lists concatenate, gauges keep the highest reading.
+//! Folding per-trial reports **in trial order** (the order
+//! [`TrialFleet::run`](crate::TrialFleet::run) already guarantees) keeps
+//! the merged deterministic stream bit-identical across worker-thread
+//! counts.
 
 pub mod clock;
 
@@ -492,7 +494,8 @@ impl Telemetry {
         }
     }
 
-    /// Snapshots the recorded data, or `None` for a disabled handle.
+    /// Snapshots the recorded data and reads the process gauges, or `None`
+    /// for a disabled handle.
     pub fn report(&self) -> Option<TelemetryReport> {
         self.inner.as_ref().map(|rec| {
             let r = rec.borrow();
@@ -502,6 +505,8 @@ impl Telemetry {
                 events: r.events.clone(),
                 balance: r.balance,
                 spans: r.spans,
+                survival_table_builds: survival_table_builds(),
+                peak_rss_bytes: crate::mem::peak_rss_bytes(),
             }
         })
     }
@@ -530,6 +535,10 @@ pub struct TelemetryReport {
     events: Vec<TraceEvent>,
     balance: Option<BalanceSummary>,
     spans: [SpanStats; SpanKind::ALL.len()],
+    /// This thread's survival-table builds when the snapshot was taken.
+    survival_table_builds: u64,
+    /// The process's peak RSS when the snapshot was taken, where readable.
+    peak_rss_bytes: Option<u64>,
 }
 
 impl TelemetryReport {
@@ -560,8 +569,9 @@ impl TelemetryReport {
 
     /// Folds `other` into `self`: counters and histograms add, span
     /// statistics merge, events concatenate, the balance summary keeps the
-    /// later (other's) value when present. Merging per-trial reports in
-    /// trial order keeps the deterministic stream schedule-independent.
+    /// later (other's) value when present, and each gauge keeps the higher
+    /// reading. Merging per-trial reports in trial order keeps the
+    /// deterministic stream schedule-independent.
     pub fn merge(&mut self, other: &TelemetryReport) {
         for (mine, theirs) in self.counters.iter_mut().zip(other.counters.iter()) {
             *mine += *theirs;
@@ -574,6 +584,8 @@ impl TelemetryReport {
         for (mine, theirs) in self.spans.iter_mut().zip(other.spans.iter()) {
             mine.merge(theirs);
         }
+        self.survival_table_builds = self.survival_table_builds.max(other.survival_table_builds);
+        self.peak_rss_bytes = self.peak_rss_bytes.max(other.peak_rss_bytes);
     }
 
     /// The deterministic stream as JSON Lines: one `"stream":"det"` object
@@ -646,9 +658,10 @@ impl TelemetryReport {
     }
 
     /// The timing stream as JSON Lines (`"stream":"time"`): span statistics
-    /// plus process gauges (peak RSS, survival-table builds) read at call
-    /// time. Machine- and schedule-dependent by design — strip these lines
-    /// (filter on the `stream` field) before byte-identity comparisons.
+    /// plus the process gauges (peak RSS, survival-table builds) read when
+    /// the report was taken. Machine- and schedule-dependent by design —
+    /// strip these lines (filter on the `stream` field) before byte-identity
+    /// comparisons.
     pub fn timing_jsonl(&self) -> String {
         let mut out = String::new();
         for kind in SpanKind::ALL {
@@ -669,9 +682,9 @@ impl TelemetryReport {
             out,
             "{{\"stream\":\"time\",\"event\":\"gauge\",\"name\":\"multibatch.survival_table_builds\",\
              \"value\":{}}}",
-            survival_table_builds(),
+            self.survival_table_builds,
         );
-        if let Some(peak) = crate::mem::peak_rss_bytes() {
+        if let Some(peak) = self.peak_rss_bytes {
             let _ = writeln!(
                 out,
                 "{{\"stream\":\"time\",\"event\":\"gauge\",\"name\":\"process.peak_rss_bytes\",\
@@ -880,7 +893,7 @@ mod tests {
     fn peak_rss_gauge_delegates_to_mem() {
         // The timing stream's peak-RSS gauge is `ppsim::mem`'s reading:
         // present exactly where `mem` has one.
-        let timing = TelemetryReport::default().timing_jsonl();
+        let timing = Telemetry::enabled().report().unwrap().timing_jsonl();
         assert_eq!(
             timing.contains("\"name\":\"process.peak_rss_bytes\""),
             crate::mem::peak_rss_bytes().is_some()

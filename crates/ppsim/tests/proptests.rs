@@ -344,6 +344,93 @@ proptest! {
         prop_assert_eq!(counts.counts().iter().sum::<u64>(), population);
     }
 
+    /// The occupancy index stays exact under every count mutation: after
+    /// each `apply_transition`, `apply_batch` or `ensure_num_states` —
+    /// self-pairs, zero-count entries and states drained to zero and
+    /// refilled included — `occupied()` is the ascending naive filter over
+    /// `counts()`, at state-space sizes on both sides of a 64-bit word.
+    #[test]
+    fn occupancy_index_tracks_every_mutation(seed in any::<u64>(), population in 2u64..40) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        for q in [1usize, 63, 64, 65, 200] {
+            let below = |rng: &mut SimRng, bound: usize| (rng.next_u64() % bound as u64) as usize;
+            // Start on a prefix of the state space, all agents in few states.
+            let mut counts = vec![0u64; 1 + below(&mut rng, q)];
+            for _ in 0..population {
+                let slot = below(&mut rng, counts.len().min(3));
+                counts[slot] += 1;
+            }
+            let mut config = CountConfiguration::from_counts(counts);
+            for step in 0..60 {
+                let live = config.num_states();
+                let occupied: Vec<(usize, u64)> = config.occupied().collect();
+                match rng.next_u64() % 4 {
+                    0 | 1 => {
+                        // One transition; a third of them a self-pair.
+                        let (a, count_a) = occupied[below(&mut rng, occupied.len())];
+                        let b = if count_a >= 2 && rng.next_u64() % 3 == 0 {
+                            a
+                        } else {
+                            let others: Vec<usize> = occupied
+                                .iter()
+                                .map(|&(s, _)| s)
+                                .filter(|&s| s != a || count_a >= 2)
+                                .collect();
+                            others[below(&mut rng, others.len())]
+                        };
+                        let to = if rng.next_u64() % 4 == 0 {
+                            (a, b)
+                        } else {
+                            (below(&mut rng, live), below(&mut rng, live))
+                        };
+                        config.apply_transition((a, b), to);
+                    }
+                    2 => {
+                        // A batch: drain some states to zero, take part of
+                        // others, and refill anywhere, with zero entries.
+                        let mut removals = Vec::new();
+                        let mut moved = 0u64;
+                        for &(s, c) in &occupied {
+                            let take = match rng.next_u64() % 3 {
+                                0 => c,
+                                1 => rng.next_u64() % (c + 1),
+                                _ => 0,
+                            };
+                            removals.push((s, take));
+                            moved += take;
+                        }
+                        let mut additions = vec![(below(&mut rng, live), 0)];
+                        while moved > 0 {
+                            let take = 1 + rng.next_u64() % moved;
+                            let target = if rng.next_u64() % 2 == 0 {
+                                removals[below(&mut rng, removals.len())].0
+                            } else {
+                                below(&mut rng, live)
+                            };
+                            additions.push((target, take));
+                            additions.push((below(&mut rng, live), 0));
+                            moved -= take;
+                        }
+                        config.apply_batch(&removals, &additions);
+                    }
+                    _ => config.ensure_num_states(1 + below(&mut rng, q)),
+                }
+                let naive: Vec<(usize, u64)> = config
+                    .counts()
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &c)| c > 0)
+                    .map(|(s, &c)| (s, c))
+                    .collect();
+                let walked: Vec<(usize, u64)> = config.occupied().collect();
+                prop_assert_eq!(&walked, &naive, "q {} step {}", q, step);
+                prop_assert_eq!(config.counts().iter().sum::<u64>(), population);
+                // A fresh build from the same counts carries the same index.
+                prop_assert_eq!(&config, &CountConfiguration::from_counts(config.counts().to_vec()));
+            }
+        }
+    }
+
     /// Seed derivation is injective in practice over small trial ranges.
     #[test]
     fn derived_seeds_do_not_collide(base in any::<u64>()) {

@@ -54,7 +54,7 @@ pub fn is_correct_output(config: &Configuration<AgentState>) -> bool {
 /// including the committed rank — so it can never be part of a correct
 /// ranking.) States are inspected through [`DiscoveredProtocol::peek`], so
 /// the predicate costs `O(#occupied states)` per evaluation with no decoding
-/// clones.
+/// clones, plus one word read per 64 interned states to find them.
 pub fn is_correct_output_counts(
     protocol: &DiscoveredProtocol<ElectLeader>,
     counts: &CountConfiguration,

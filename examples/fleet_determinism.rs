@@ -26,9 +26,10 @@
 //! the dynamic state indexer (the Rc-based `DiscoveredProtocol` is built
 //! inside each trial closure — per-worker, never shared).
 //!
-//! With `--trace <path>` the probe additionally reruns the epidemic workload
-//! with a `ppsim::telemetry` handle per trial, merges the per-trial reports
-//! in trial order, and writes the **deterministic stream only** as JSONL —
+//! With `--trace <path>` the epidemic workload runs with a `ppsim::telemetry`
+//! handle per trial (telemetry never moves a trajectory, so the CSV row is
+//! the same), and the probe merges the per-trial reports in trial order and
+//! writes the **deterministic stream only** as JSONL —
 //! the telemetry analogue of the CSV: counters, histograms, and handoff
 //! events with no wall-clock fields, so the exported file must also be
 //! byte-identical across thread counts.
@@ -36,7 +37,7 @@
 use analysis::TrialSummary;
 use harness::Cli;
 use ppsim::digest::Fnv64;
-use ppsim::epidemic::{measure_epidemic_time_with, OneWayEpidemic};
+use ppsim::epidemic::OneWayEpidemic;
 use ppsim::simulation::StabilizationOptions;
 use ppsim::{DiscoveredProtocol, EngineKind, SimBuilder, Telemetry, TelemetryReport, TrialFleet};
 use ssle_core::{output, ElectLeader};
@@ -45,12 +46,29 @@ const USAGE: &str = "usage: fleet_determinism [trials] [--trace <path>]";
 
 const BASE_SEED: u64 = 0xDE7E_2141;
 
-fn epidemic_times(trials: usize, n: usize) -> Vec<Option<f64>> {
+/// Runs the epidemic workload once: per trial, the parallel completion time
+/// (`None` past the budget) and, when `traced`, the trial's telemetry report.
+fn epidemic_trials(
+    trials: usize,
+    n: usize,
+    traced: bool,
+) -> Vec<(Option<f64>, Option<TelemetryReport>)> {
     let nf = n as f64;
     let budget = (50.0 * nf * nf.ln().max(1.0)).ceil() as u64;
     TrialFleet::new(trials, BASE_SEED).run(|seed| {
-        measure_epidemic_time_with(OneWayEpidemic::new(n, 1), EngineKind::Auto, seed, budget)
-            .map(|interactions| interactions as f64 / nf)
+        let telemetry = if traced {
+            Telemetry::enabled()
+        } else {
+            Telemetry::disabled()
+        };
+        let mut sim = SimBuilder::new(OneWayEpidemic::new(n, 1))
+            .kind(EngineKind::Auto)
+            .seed(seed)
+            .telemetry(telemetry.clone())
+            .build();
+        let out = sim.run_until(&mut |c| c.count(1) == c.population(), budget);
+        let time = out.satisfied.then(|| out.interactions as f64 / nf);
+        (time, telemetry.report())
     })
 }
 
@@ -69,30 +87,6 @@ fn elect_leader_times(trials: usize, n: usize, r: usize) -> Vec<Option<f64>> {
             sim.measure_stabilization(&mut |c| output::is_correct_output_counts(&handle, c), opts);
         result.stabilized_at.map(|t| t as f64 / n as f64)
     })
-}
-
-/// Reruns the epidemic workload traced and folds the per-trial telemetry
-/// reports — in trial order, so the merge is schedule-independent — into one
-/// deterministic-stream JSONL document.
-fn traced_epidemic_det_stream(trials: usize, n: usize) -> String {
-    let nf = n as f64;
-    let budget = (50.0 * nf * nf.ln().max(1.0)).ceil() as u64;
-    let reports = TrialFleet::new(trials, BASE_SEED).run(|seed| {
-        let telemetry = Telemetry::enabled();
-        let mut sim = SimBuilder::new(OneWayEpidemic::new(n, 1))
-            .kind(EngineKind::Auto)
-            .seed(seed)
-            .telemetry(telemetry.clone())
-            .build();
-        let out = sim.run_until(&mut |c| c.count(1) == c.population(), budget);
-        assert!(out.satisfied, "epidemic completes within 50 n ln n");
-        telemetry.report().expect("enabled handle has a report")
-    });
-    let mut merged = TelemetryReport::default();
-    for report in &reports {
-        merged.merge(report);
-    }
-    merged.deterministic_jsonl()
 }
 
 fn emit(workload: &str, observations: &[Option<f64>]) {
@@ -145,14 +139,20 @@ fn main() {
     println!(
         "workload,trials,successes,mean_bits,std_dev_bits,min_bits,max_bits,samples,sample_digest"
     );
-    emit("epidemic_auto_n512", &epidemic_times(trials, 512));
+    let epidemic = epidemic_trials(trials, 512, trace_path.is_some());
+    let times: Vec<Option<f64>> = epidemic.iter().map(|(time, _)| *time).collect();
+    emit("epidemic_auto_n512", &times);
     emit(
         "elect_leader_n12_r3",
         &elect_leader_times(trials.div_ceil(6), 12, 3),
     );
     if let Some(path) = trace_path {
-        let jsonl = traced_epidemic_det_stream(trials, 512);
-        std::fs::write(&path, jsonl).expect("write deterministic trace");
+        // Merged in trial order, so the stream is schedule-independent.
+        let mut merged = TelemetryReport::default();
+        for (_, report) in &epidemic {
+            merged.merge(report.as_ref().expect("traced trials carry a report"));
+        }
+        std::fs::write(&path, merged.deterministic_jsonl()).expect("write deterministic trace");
         eprintln!("wrote deterministic telemetry stream to {path}");
     }
 }
