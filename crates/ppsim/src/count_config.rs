@@ -34,21 +34,27 @@ pub const MAX_POPULATION: u64 = 1 << 62;
 
 /// A configuration stored as per-state agent counts.
 ///
-/// Next to the counts it keeps an occupancy bitset (bit `i` is set iff
-/// `counts[i] > 0`), so [`CountConfiguration::occupied`] costs one word
-/// read per 64 states plus one step per occupied state. Every count
-/// mutation goes through a method of this type and keeps the bitset.
+/// Next to the counts it keeps a two-level occupancy bitset: bit `i` of
+/// the occupancy level is set iff `counts[i] > 0`, and bit `w` of the
+/// summary level iff occupancy word `w` is nonzero. So
+/// [`CountConfiguration::occupied`] costs one word read per 4096 states,
+/// one per occupancy word holding an occupied state and one step per
+/// occupied state. Every count mutation goes through a method of this type
+/// and keeps both levels; a summary bit moves only when an occupancy word
+/// empties or fills, inside the occupancy bit's rarely taken re-sync branch.
 #[derive(Clone, PartialEq, Eq, Serialize)]
 pub struct CountConfiguration {
     counts: Vec<u64>,
     occupancy: Vec<u64>,
+    summary: Vec<u64>,
     population: u64,
 }
 
-/// The occupancy bitset of `counts`: bit `i % 64` of word `i / 64` is set
-/// iff `counts[i] > 0`.
-fn occupancy_of(counts: &[u64]) -> Vec<u64> {
-    counts
+/// The bitset of `values`: bit `i % 64` of word `i / 64` is set iff
+/// `values[i] != 0`. Over the counts it is the occupancy level, over the
+/// occupancy words the summary level.
+fn nonzero_bits(values: &[u64]) -> Vec<u64> {
+    values
         .chunks(64)
         .map(|chunk| {
             chunk
@@ -74,8 +80,10 @@ impl CountConfiguration {
 
     /// Wraps counts known to sum to `population`, building their bitset.
     fn with_population(counts: Vec<u64>, population: u64) -> Self {
+        let occupancy = nonzero_bits(&counts);
         CountConfiguration {
-            occupancy: occupancy_of(&counts),
+            summary: nonzero_bits(&occupancy),
+            occupancy,
             counts,
             population,
         }
@@ -236,6 +244,7 @@ impl CountConfiguration {
         if num_states > self.counts.len() {
             self.counts.resize(num_states, 0);
             self.occupancy.resize(num_states.div_ceil(64), 0);
+            self.summary.resize(self.occupancy.len().div_ceil(64), 0);
         }
     }
 
@@ -248,33 +257,33 @@ impl CountConfiguration {
     /// ascending state index, skipping empty states.
     ///
     /// A discovered run leaves most slots empty (tens of thousands of
-    /// interned states, at most `n` occupied), so the walk reads the
-    /// occupancy bitset a word at a time and visits only its set bits.
+    /// interned states, at most `n` occupied), so the walk reads the summary
+    /// level a word at a time, only the occupancy words it marks, and only
+    /// their set bits: an empty stretch of 4096 states costs one word read.
     pub fn occupied(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.occupancy
-            .iter()
-            .enumerate()
-            .flat_map(move |(w, &word)| {
-                let mut bits = word;
-                std::iter::from_fn(move || {
-                    if bits == 0 {
-                        return None;
-                    }
-                    let index = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some((index, self.counts[index]))
-                })
-            })
+        Occupied {
+            config: self,
+            next_summary: 0,
+            summary_base: 0,
+            summary_bits: 0,
+            word: 0,
+            bits: 0,
+        }
     }
 
-    /// Brings the occupancy bit of `state` in line with its count. The bit
-    /// rarely changes, so the store sits behind a branch: an unconditional
-    /// read-modify-write chains every update on one word through memory.
+    /// Brings the occupancy bit of `state`, and the summary bit of its word,
+    /// in line with its count. The bits rarely change, so the stores sit
+    /// behind a branch: an unconditional read-modify-write chains every
+    /// update on one word through memory.
     fn sync_occupancy(&mut self, state: usize) {
         let bit = 1u64 << (state % 64);
-        let word = &mut self.occupancy[state / 64];
+        let w = state / 64;
+        let word = &mut self.occupancy[w];
         if (*word & bit != 0) != (self.counts[state] != 0) {
             *word ^= bit;
+            let nonempty = u64::from(*word != 0);
+            let summary = &mut self.summary[w / 64];
+            *summary = (*summary & !(1u64 << (w % 64))) | (nonempty << (w % 64));
         }
     }
 
@@ -392,6 +401,42 @@ impl CountConfiguration {
             removed, added,
             "batch must conserve the population (removed {removed}, added {added})"
         );
+    }
+}
+
+/// The walk behind [`CountConfiguration::occupied`]: summary words, then
+/// the occupancy words their set bits name, then those words' set bits.
+struct Occupied<'a> {
+    config: &'a CountConfiguration,
+    /// The summary word to read once `summary_bits` runs out.
+    next_summary: usize,
+    /// Unvisited set bits of the current summary word, whose bit `j` stands
+    /// for occupancy word `summary_base + j`.
+    summary_bits: u64,
+    summary_base: usize,
+    /// Unvisited set bits of occupancy word `word`.
+    bits: u64,
+    word: usize,
+}
+
+impl Iterator for Occupied<'_> {
+    type Item = (usize, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, u64)> {
+        while self.bits == 0 {
+            while self.summary_bits == 0 {
+                self.summary_bits = *self.config.summary.get(self.next_summary)?;
+                self.summary_base = self.next_summary * 64;
+                self.next_summary += 1;
+            }
+            self.word = self.summary_base + self.summary_bits.trailing_zeros() as usize;
+            self.summary_bits &= self.summary_bits - 1;
+            self.bits = self.config.occupancy[self.word];
+        }
+        let index = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some((index, self.config.counts[index]))
     }
 }
 
@@ -562,7 +607,9 @@ mod tests {
     #[test]
     fn occupied_matches_the_naive_filter() {
         let mut rng = SimRng::seed_from_u64(17);
-        for len in [1usize, 15, 16, 17, 33, 63, 64, 65, 128, 1000] {
+        for len in [
+            1usize, 15, 16, 17, 33, 63, 64, 65, 128, 1000, 4096, 4097, 8200,
+        ] {
             let sparse: Vec<u64> = (0..len)
                 .map(|i| {
                     if i % 37 == 5 || i + 1 == len {

@@ -37,11 +37,21 @@
 //! The sampled interaction sequence has exactly the uniform-scheduler
 //! distribution — trajectories differ from both other engines under the same
 //! seed (randomness is consumed differently), but all distributions over
-//! configurations and hitting times agree. Cost is `O(#occupied states +
-//! #distinct pair groups)` per `Θ(√n)` interactions, plus one word read per
-//! 64 tracked states to find the occupied ones, independent of how many
-//! of them change state — the complementary trade to the batched engine,
-//! which skips silence for free but pays for every change. The price is that
+//! configurations and hitting times agree. An epoch of `L` interactions
+//! costs `O(#occupied states + a·b + #distinct pair groups)`, where
+//! `a, b ≤ min(L, #occupied states)` count the states that drew initiators
+//! and responders: the two splits that place the `2L` agents walk every
+//! occupied state (a singleton state's draw has a two-point support, which
+//! the sampler decides without its walk), and each initiator row spans only
+//! the `b` states that drew responders. Finding the occupied states reads
+//! one summary word per 4096 tracked states and one occupancy word per
+//! 64-state block that holds an occupied state. The epoch's vectors are
+//! buffers the engine keeps, so a warmed-up epoch allocates none of them,
+//! and a blind group's outcomes fold into the previous outcome entry when
+//! the state repeats (an epidemic epoch commits a few entries, not `2L`).
+//! None of this depends on how many interactions change state — the
+//! complementary trade to the batched engine, which skips silence for free
+//! but pays for every change. The price is that
 //! silence is **not** skipped: a nearly frozen configuration still costs one
 //! epoch per `Θ(√n)` interactions (and the engine never reports a stall, so
 //! pair an unreachable predicate with a finite budget), and predicates are
@@ -58,7 +68,7 @@ use crate::error::SimError;
 use crate::protocol::{CleanInit, InteractionCtx};
 use crate::rng::{uniform_below, uniform_below_u128, SimRng};
 use crate::telemetry::{Counter, SpanGuard, SpanKind, Telemetry};
-use rand::distributions::{hypergeometric_split, multinomial_split};
+use rand::distributions::{hypergeometric_split_into, multinomial_split};
 use rand::RngCore;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -148,6 +158,44 @@ fn draw_from_multiset(rng: &mut SimRng, entries: &[(usize, u64)], total: u64) ->
     unreachable!("multiset total overstated")
 }
 
+/// Appends one agent in `state` to an epoch's outcome list, adding it to
+/// the last entry when that entry holds the same state. The expanded
+/// sequence of outcome states, which the collision interaction draws from,
+/// stays the same.
+fn push_outcome(updated: &mut Vec<(usize, u64)>, state: usize) {
+    match updated.last_mut() {
+        Some((last, count)) if *last == state => *count += 1,
+        _ => updated.push((state, 1)),
+    }
+}
+
+/// The working vectors of one epoch, kept by the engine between epochs so
+/// that a warmed-up engine allocates none of them.
+#[derive(Debug, Default)]
+struct EpochScratch {
+    /// The occupied states in ascending order, and their pre-epoch counts.
+    states: Vec<usize>,
+    urn: Vec<u64>,
+    /// Per occupied state: the agents drawn as initiators.
+    initiators: Vec<u64>,
+    /// Per occupied state: the agents not drawn as initiators (the
+    /// responder urn).
+    rest: Vec<u64>,
+    /// Per occupied state: the agents drawn as responders.
+    responders: Vec<u64>,
+    /// The states that drew responders, ascending, and how many of their
+    /// responders no initiator row has matched yet.
+    responder_states: Vec<usize>,
+    unmatched: Vec<u64>,
+    /// One initiator state's row of the pairing, over `unmatched`.
+    row: Vec<u64>,
+    /// The outcome states (the commit's additions), the drawn agents (its
+    /// removals) and the agents the epoch did not draw.
+    updated: Vec<(usize, u64)>,
+    removals: Vec<(usize, u64)>,
+    untouched: Vec<(usize, u64)>,
+}
+
 /// A population-protocol execution resolving whole collision-bounded batches
 /// of interactions per statistical draw.
 ///
@@ -173,6 +221,7 @@ pub struct MultiBatchSimulation<P: EnumerableProtocol> {
     /// The `multibatch.run` span of the current run call: opened by its
     /// first advance, closed when the run loop ends.
     span: Option<SpanGuard>,
+    scratch: EpochScratch,
 }
 
 impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
@@ -206,6 +255,7 @@ impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
             ln_collision_survival,
             telemetry: Telemetry::disabled(),
             span: None,
+            scratch: EpochScratch::default(),
         })
     }
 
@@ -301,8 +351,8 @@ impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
                 for _ in 0..m {
                     let mut ctx = InteractionCtx::new(&mut self.rng, interaction);
                     let to = self.protocol.transition_indices(u, v, &mut ctx);
-                    updated.push((to.0, 1));
-                    updated.push((to.1, 1));
+                    push_outcome(updated, to.0);
+                    push_outcome(updated, to.1);
                 }
             }
             1 => {
@@ -362,41 +412,63 @@ impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
         }
 
         // The 2·free distinct agents, allocated to states hypergeometrically.
-        let occupied: Vec<(usize, u64)> = self.counts.occupied().collect();
-        let urn: Vec<u64> = occupied.iter().map(|&(_, c)| c).collect();
-        let initiators = hypergeometric_split(&urn, free, &mut self.rng);
-        let rest: Vec<u64> = urn.iter().zip(&initiators).map(|(&c, &a)| c - a).collect();
-        let responders = hypergeometric_split(&rest, free, &mut self.rng);
+        let mut s = std::mem::take(&mut self.scratch);
+        s.states.clear();
+        s.urn.clear();
+        for (state, count) in self.counts.occupied() {
+            s.states.push(state);
+            s.urn.push(count);
+        }
+        hypergeometric_split_into(&s.urn, free, &mut self.rng, &mut s.initiators);
+        s.rest.clear();
+        s.rest
+            .extend(s.urn.iter().zip(&s.initiators).map(|(&c, &a)| c - a));
+        hypergeometric_split_into(&s.rest, free, &mut self.rng, &mut s.responders);
 
         // Match initiators to responders: a uniformly random pairing of the
         // two multisets, drawn as one multivariate hypergeometric row per
-        // initiator state over the responders not yet matched.
-        let mut unmatched = responders.clone();
-        let mut updated: Vec<(usize, u64)> = Vec::new();
-        for (ai, &a_count) in initiators.iter().enumerate() {
+        // initiator state over the responders not yet matched. A row spans
+        // only the states that drew responders (at most `free`): a state
+        // without any takes no draw, so leaving it out keeps every draw.
+        s.responder_states.clear();
+        s.unmatched.clear();
+        for (&state, &b) in s.states.iter().zip(&s.responders) {
+            if b > 0 {
+                s.responder_states.push(state);
+                s.unmatched.push(b);
+            }
+        }
+        s.updated.clear();
+        for (&u, &a_count) in s.states.iter().zip(&s.initiators) {
             if a_count == 0 {
                 continue;
             }
-            let row = hypergeometric_split(&unmatched, a_count, &mut self.rng);
-            for (bi, &m) in row.iter().enumerate() {
+            hypergeometric_split_into(&s.unmatched, a_count, &mut self.rng, &mut s.row);
+            for ((&v, unmatched), &m) in s.responder_states.iter().zip(&mut s.unmatched).zip(&s.row)
+            {
                 if m > 0 {
-                    unmatched[bi] -= m;
-                    let (u, v) = (occupied[ai].0, occupied[bi].0);
-                    self.resolve_group(u, v, m, &mut updated);
+                    *unmatched -= m;
+                    self.resolve_group(u, v, m, &mut s.updated);
                 }
             }
         }
 
         // Commit the delayed updates in one step (sound because the batch's
         // agents are pairwise distinct, so their transitions commute).
-        let removals: Vec<(usize, u64)> = occupied
-            .iter()
-            .enumerate()
-            .map(|(i, &(s, _))| (s, initiators[i] + responders[i]))
-            .filter(|&(_, c)| c > 0)
-            .collect();
+        s.removals.clear();
+        s.untouched.clear();
+        for (i, &state) in s.states.iter().enumerate() {
+            let drawn = s.initiators[i] + s.responders[i];
+            if drawn > 0 {
+                s.removals.push((state, drawn));
+            }
+            let left = s.urn[i] - drawn;
+            if left > 0 {
+                s.untouched.push((state, left));
+            }
+        }
         self.sync_state_space();
-        self.counts.apply_batch(&removals, &updated);
+        self.counts.apply_batch(&s.removals, &s.updated);
 
         let mut executed = free;
         if collide {
@@ -413,26 +485,20 @@ impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
             // identical RNG stream (see `uniform_below_u128`).
             let w_both = u128::from(touched) * u128::from(touched - 1);
             let w_cross = u128::from(touched) * u128::from(fresh);
-            let untouched: Vec<(usize, u64)> = occupied
-                .iter()
-                .enumerate()
-                .map(|(i, &(s, c))| (s, c - initiators[i] - responders[i]))
-                .filter(|&(_, c)| c > 0)
-                .collect();
             let pick = uniform_below_u128(&mut self.rng, w_both + 2 * w_cross);
             let (cu, cv) = if pick < w_both {
                 // Both agents touched: two distinct draws from the outcomes.
-                let (entry, cu) = draw_from_multiset(&mut self.rng, &updated, touched);
-                updated[entry].1 -= 1;
-                let (_, cv) = draw_from_multiset(&mut self.rng, &updated, touched - 1);
+                let (entry, cu) = draw_from_multiset(&mut self.rng, &s.updated, touched);
+                s.updated[entry].1 -= 1;
+                let (_, cv) = draw_from_multiset(&mut self.rng, &s.updated, touched - 1);
                 (cu, cv)
             } else if pick < w_both + w_cross {
-                let (_, cu) = draw_from_multiset(&mut self.rng, &updated, touched);
-                let (_, cv) = draw_from_multiset(&mut self.rng, &untouched, fresh);
+                let (_, cu) = draw_from_multiset(&mut self.rng, &s.updated, touched);
+                let (_, cv) = draw_from_multiset(&mut self.rng, &s.untouched, fresh);
                 (cu, cv)
             } else {
-                let (_, cu) = draw_from_multiset(&mut self.rng, &untouched, fresh);
-                let (_, cv) = draw_from_multiset(&mut self.rng, &updated, touched);
+                let (_, cu) = draw_from_multiset(&mut self.rng, &s.untouched, fresh);
+                let (_, cv) = draw_from_multiset(&mut self.rng, &s.updated, touched);
                 (cu, cv)
             };
             self.fire_single(cu, cv);
@@ -440,6 +506,7 @@ impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
             self.telemetry
                 .count(Counter::MultiBatchCollisionInteractions, 1);
         }
+        self.scratch = s;
         self.interactions += executed;
         self.epochs += 1;
         self.telemetry
@@ -777,5 +844,59 @@ mod tests {
         assert_eq!(sim.interactions(), 5_000);
         assert_eq!(sim.counts().counts().iter().sum::<u64>(), 60);
         assert_eq!(sim.counts().num_states(), 5);
+    }
+
+    /// The address and capacity of every scratch buffer.
+    fn scratch_buffers(s: &EpochScratch) -> Vec<(usize, usize)> {
+        fn of<T>(v: &Vec<T>) -> (usize, usize) {
+            (v.as_ptr() as usize, v.capacity())
+        }
+        vec![
+            of(&s.states),
+            of(&s.urn),
+            of(&s.initiators),
+            of(&s.rest),
+            of(&s.responders),
+            of(&s.responder_states),
+            of(&s.unmatched),
+            of(&s.row),
+            of(&s.updated),
+            of(&s.removals),
+            of(&s.untouched),
+        ]
+    }
+
+    /// Once warmed up, an epoch refills the engine's scratch buffers in
+    /// place: every buffer keeps its address and capacity. An epoch that
+    /// allocated one would bring in a new address or a new capacity.
+    fn assert_warmed_epochs_reuse_buffers<P: EnumerableProtocol>(mut sim: MultiBatchSimulation<P>) {
+        for _ in 0..20_000 {
+            sim.advance_epoch(u64::MAX);
+        }
+        let warm = scratch_buffers(&sim.scratch);
+        assert!(warm.iter().all(|&(_, capacity)| capacity > 0), "{warm:?}");
+        for epoch in 0..2_000 {
+            sim.advance_epoch(u64::MAX);
+            assert_eq!(
+                scratch_buffers(&sim.scratch),
+                warm,
+                "epoch {epoch} allocated"
+            );
+        }
+    }
+
+    #[test]
+    fn warmed_epochs_reuse_every_scratch_buffer() {
+        // Multinomial and deterministic groups, blind groups, and silent
+        // groups once the epidemic is over.
+        assert_warmed_epochs_reuse_buffers(MultiBatchSimulation::clean(FlipCoin { n: 64 }, 4));
+        assert_warmed_epochs_reuse_buffers(MultiBatchSimulation::clean(
+            BlindShuffle { n: 60, k: 5 },
+            6,
+        ));
+        assert_warmed_epochs_reuse_buffers(MultiBatchSimulation::clean(
+            TwoWayEpidemic::new(64, 1),
+            8,
+        ));
     }
 }

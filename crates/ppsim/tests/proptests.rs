@@ -348,14 +348,18 @@ proptest! {
     /// each `apply_transition`, `apply_batch` or `ensure_num_states` —
     /// self-pairs, zero-count entries and states drained to zero and
     /// refilled included — `occupied()` is the ascending naive filter over
-    /// `counts()`, at state-space sizes on both sides of a 64-bit word.
+    /// `counts()`, and both index levels equal a fresh build's, at
+    /// state-space sizes on both sides of a 64-bit occupancy word and of a
+    /// 4096-state summary word.
     #[test]
     fn occupancy_index_tracks_every_mutation(seed in any::<u64>(), population in 2u64..40) {
         let mut rng = SimRng::seed_from_u64(seed);
-        for q in [1usize, 63, 64, 65, 200] {
+        for q in [1usize, 63, 64, 65, 200, 4095, 4096, 4097, 8200] {
             let below = |rng: &mut SimRng, bound: usize| (rng.next_u64() % bound as u64) as usize;
-            // Start on a prefix of the state space, all agents in few states.
-            let mut counts = vec![0u64; 1 + below(&mut rng, q)];
+            // Start on a prefix of the state space inside the first summary
+            // word, all agents in few states, so growing to `q` past 4096
+            // states crosses a summary word.
+            let mut counts = vec![0u64; 1 + below(&mut rng, q.min(4000))];
             for _ in 0..population {
                 let slot = below(&mut rng, counts.len().min(3));
                 counts[slot] += 1;
@@ -413,7 +417,10 @@ proptest! {
                         }
                         config.apply_batch(&removals, &additions);
                     }
-                    _ => config.ensure_num_states(1 + below(&mut rng, q)),
+                    _ => {
+                        let grow_to = if rng.next_u64() % 2 == 0 { q } else { 1 + below(&mut rng, q) };
+                        config.ensure_num_states(grow_to);
+                    }
                 }
                 let naive: Vec<(usize, u64)> = config
                     .counts()
@@ -425,7 +432,8 @@ proptest! {
                 let walked: Vec<(usize, u64)> = config.occupied().collect();
                 prop_assert_eq!(&walked, &naive, "q {} step {}", q, step);
                 prop_assert_eq!(config.counts().iter().sum::<u64>(), population);
-                // A fresh build from the same counts carries the same index.
+                // A fresh build from the same counts carries the same index,
+                // both levels of it.
                 prop_assert_eq!(&config, &CountConfiguration::from_counts(config.counts().to_vec()));
             }
         }

@@ -54,7 +54,8 @@ pub fn is_correct_output(config: &Configuration<AgentState>) -> bool {
 /// including the committed rank — so it can never be part of a correct
 /// ranking.) States are inspected through [`DiscoveredProtocol::peek`], so
 /// the predicate costs `O(#occupied states)` per evaluation with no decoding
-/// clones, plus one word read per 64 interned states to find them.
+/// clones, plus one summary word read per 4096 interned states to find them
+/// (see [`CountConfiguration::occupied`]).
 pub fn is_correct_output_counts(
     protocol: &DiscoveredProtocol<ElectLeader>,
     counts: &CountConfiguration,
