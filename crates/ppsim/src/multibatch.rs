@@ -41,9 +41,8 @@
 //! costs `O(#occupied states + a·b + #distinct pair groups)`, where
 //! `a, b ≤ min(L, #occupied states)` count the states that drew initiators
 //! and responders: the two splits that place the `2L` agents walk every
-//! occupied state (a singleton state's draw has a two-point support, which
-//! the sampler decides without its walk), and each initiator row spans only
-//! the `b` states that drew responders. Finding the occupied states reads
+//! occupied state, and each initiator row spans only the `b` states that
+//! drew responders. Finding the occupied states reads
 //! one summary word per 4096 tracked states and one occupancy word per
 //! 64-state block that holds an occupied state. The epoch's vectors are
 //! buffers the engine keeps, so a warmed-up epoch allocates none of them,

@@ -7,7 +7,7 @@ use ppsim::{
 };
 use proptest::prelude::*;
 use rand::distributions::{
-    hypergeometric_split, multinomial_split, Binomial, Distribution, Geometric, Hypergeometric,
+    hypergeometric_split_into, multinomial_split, Binomial, Distribution, Geometric, Hypergeometric,
 };
 use rand::RngCore;
 
@@ -267,7 +267,8 @@ proptest! {
         let urn: u64 = counts.iter().sum();
         let draws = urn * draws_pct / 100;
         let mut rng = SimRng::seed_from_u64(seed);
-        let split = hypergeometric_split(&counts, draws, &mut rng);
+        let mut split = Vec::new();
+        hypergeometric_split_into(&counts, draws, &mut rng, &mut split);
         prop_assert_eq!(split.len(), counts.len());
         prop_assert_eq!(split.iter().sum::<u64>(), draws);
         for (i, (&got, &cap)) in split.iter().zip(&counts).enumerate() {
