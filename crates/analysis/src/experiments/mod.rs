@@ -18,17 +18,10 @@
 //!   (synthetic-coin quality, Appendix B),
 //! * [`scaling`] — E10 (batched vs per-step engine throughput at large `n`),
 //! * [`discovered`] — E11 (agreement of the count-based engines, run on
-//!   `ElectLeader_r` via dynamic state indexing, with the per-step engine),
-//! * [`fleet`] — F1 (trial-fleet throughput: trials/sec at 1 vs N worker
-//!   threads, with an inline bit-identity check on the aggregates),
-//! * [`profiling`] — P1 (engine instrumentation profile: ns/interaction by
-//!   engine mode and the measured multi-batch epoch constant, read from the
-//!   `ppsim::telemetry` probes; also builds the `--trace` reference export).
+//!   `ElectLeader_r` via dynamic state indexing, with the per-step engine).
 
 pub mod comparison;
 pub mod discovered;
-pub mod fleet;
-pub mod profiling;
 pub mod recovery;
 pub mod reset;
 pub mod scaling;
@@ -46,7 +39,7 @@ use ssle_core::{output, ElectLeader, Scenario};
 /// One row of the experiment registry.
 #[derive(Debug)]
 pub struct Experiment {
-    /// The id the `experiments` binary and the service accept (`"e1"`, `"fleet"`, …).
+    /// The id the `experiments` binary and the service accept (`"e1"` … `"e11"`).
     pub id: &'static str,
     /// One line saying what the table measures, for the `experiments` usage.
     pub about: &'static str,
@@ -112,16 +105,6 @@ pub const REGISTRY: &[Experiment] = &[
         id: "e11",
         about: "engine agreement on ElectLeader_r: indexed count engines vs per-step",
         run: discovered::e11_discovered_curves,
-    },
-    Experiment {
-        id: "fleet",
-        about: "trial-fleet throughput: trials/sec at 1 vs N worker threads",
-        run: fleet::f1_fleet_throughput,
-    },
-    Experiment {
-        id: "p1",
-        about: "engine instrumentation profile: ns/interaction by mode (telemetry spans)",
-        run: profiling::p1_engine_profile,
     },
 ];
 
@@ -199,7 +182,7 @@ mod tests {
             assert!(by_id(e.id).is_some(), "{}", e.id);
         }
         assert!(by_id(SWEEP_EXPERIMENT).is_some());
-        for unknown in ["all", "e0", "e12", "E1", "f1", ""] {
+        for unknown in ["all", "e0", "e12", "E1", "f1", "fleet", "p1", ""] {
             assert!(by_id(unknown).is_none(), "{unknown:?} must be unknown");
         }
     }

@@ -177,29 +177,6 @@ impl Scale {
         }
     }
 
-    /// The number of trials the fleet-throughput experiment runs per thread
-    /// configuration. Much larger than [`Scale::trials`]: the point is to
-    /// saturate the worker threads long enough for a stable trials/sec
-    /// figure.
-    pub fn fleet_trials(self) -> usize {
-        match self {
-            Scale::Tiny => 32,
-            Scale::Quick => 192,
-            Scale::Full => 1_024,
-        }
-    }
-
-    /// The population size of the fleet-throughput workload (a one-way
-    /// epidemic to completion per trial). Small enough that one trial is
-    /// milliseconds; the fleet layer, not the engine, is under test.
-    pub fn fleet_n(self) -> usize {
-        match self {
-            Scale::Tiny => 256,
-            Scale::Quick => 1_024,
-            Scale::Full => 4_096,
-        }
-    }
-
     /// The base seed from which all per-trial seeds are derived.
     pub fn base_seed(self) -> u64 {
         match self {

@@ -49,7 +49,7 @@ impl ExperimentService for LocalService {
 /// One one-way epidemic cell per population in
 /// [`Scale::batched_n_values`], run under the spec's engine with
 /// `spec.trials` trials per cell (per-cell base seeds derive injectively
-/// from `spec.seed`). Unlike the registry's E10/F1 tables, every column
+/// from `spec.seed`). Unlike the registry's E10 table, every column
 /// here is **timing-free** — counts, seeded completion times, and a
 /// word-fold FNV digest of the exact sample bit patterns — so the rendered
 /// document is byte-identical across runs, machines, and thread counts.

@@ -79,8 +79,7 @@ impl Error for ServiceError {}
 /// content-addressed cache filename (`cache/<key>.json`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
-    /// A registry experiment id (`"e1"`…`"e11"`, `"fleet"`, `"p1"`) or
-    /// [`SWEEP_EXPERIMENT`].
+    /// A registry experiment id (`"e1"`…`"e11"`) or [`SWEEP_EXPERIMENT`].
     pub experiment: String,
     /// The experiment scale (grid sizes, budgets).
     pub scale: Scale,
@@ -509,11 +508,16 @@ mod tests {
             .validate()
             .is_ok());
         assert!(JobSpec::new("e1", Scale::Tiny).validate().is_ok());
-        assert!(JobSpec::new("fleet", Scale::Tiny).validate().is_ok());
-        assert!(matches!(
-            JobSpec::new("e42", Scale::Tiny).validate(),
-            Err(ServiceError::UnknownExperiment(_))
-        ));
+        assert!(JobSpec::new("e11", Scale::Tiny).validate().is_ok());
+        for retired in ["e42", "fleet", "p1"] {
+            assert!(
+                matches!(
+                    JobSpec::new(retired, Scale::Tiny).validate(),
+                    Err(ServiceError::UnknownExperiment(_))
+                ),
+                "{retired}"
+            );
+        }
         // Sweep overrides are fine; registry overrides are not.
         assert!(JobSpec::new(SWEEP_EXPERIMENT, Scale::Tiny)
             .seed(9)

@@ -1,6 +1,6 @@
-//! The experiment driver: regenerates every result table (E1–E11, F1, P1,
-//! and the `sweep` document); the README's "Run the experiments" section
-//! shows typical invocations.
+//! The experiment driver: regenerates every result table (E1–E11 and the
+//! `sweep` document); the README's "Run the experiments" section shows
+//! typical invocations.
 //!
 //! ```bash
 //! cargo run --release -p bench --bin experiments -- all quick
@@ -9,16 +9,13 @@
 //! ```
 //!
 //! The first argument selects the experiment (an id of
-//! `analysis::experiments::REGISTRY` — `e1` … `e11`, `fleet`, `p1` — or
-//! `sweep`, or `all`), the second the scale (`tiny`, `quick`, `full`;
-//! default `quick`). A bad scale or experiment id, a third positional, an
-//! unknown flag, a flag missing its value, or `--remote` with `all`,
-//! `--csv` or `--trace` prints the usage and exits with status 2. With `--csv <dir>` every table is additionally written as a CSV
-//! file and as a JSON document into the given directory; a failed write
-//! exits with status 1. With `--trace <path>` the driver
-//! additionally runs one telemetry-instrumented adaptive epidemic (the P1
-//! reference workload) and writes its trace as JSONL: the deterministic
-//! event stream first, the wall-clock timing stream after.
+//! `analysis::experiments::REGISTRY` — `e1` … `e11` — or `sweep`, or
+//! `all`), the second the scale (`tiny`, `quick`, `full`; default `quick`).
+//! A bad scale or experiment id, a third positional, an unknown flag, a
+//! flag missing its value, or `--remote` with `all` or `--csv` prints the
+//! usage and exits with status 2. With `--csv <dir>` every table is
+//! additionally written as a CSV file and as a JSON document into the given
+//! directory; a failed write exits with status 1.
 //!
 //! With `--remote HOST:PORT` a single-experiment selection runs on a
 //! running `ssle-server` daemon instead of locally, and the returned
@@ -40,16 +37,14 @@ fn main() {
     }
 
     let mut csv_dir: Option<&str> = None;
-    let mut trace_path: Option<&str> = None;
     let mut remote_addr: Option<&str> = None;
     let mut positionals: Vec<&str> = Vec::new();
-    // `--csv <dir>`, `--trace <path>` and `--remote <addr>` may appear
-    // before, between, or after the (at most two) positionals.
+    // `--csv <dir>` and `--remote <addr>` may appear before, between, or
+    // after the (at most two) positionals.
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let slot = match arg.as_str() {
             "--csv" => &mut csv_dir,
-            "--trace" => &mut trace_path,
             "--remote" => &mut remote_addr,
             flag if flag.starts_with('-') => usage_error(&format!("unknown flag `{flag}`")),
             positional => {
@@ -80,8 +75,8 @@ fn main() {
         if run.is_none() {
             usage_error("--remote runs a single experiment id, not `all`");
         }
-        if csv_dir.is_some() || trace_path.is_some() {
-            usage_error("--remote prints the result document; it takes no --csv or --trace");
+        if csv_dir.is_some() {
+            usage_error("--remote prints the result document; it takes no --csv");
         }
         run_remote(addr, selection, scale);
         return;
@@ -131,21 +126,6 @@ fn main() {
         }
         eprintln!("wrote CSV/JSON results to {}", dir.display());
     }
-
-    if let Some(path) = trace_path.map(PathBuf::from) {
-        let jsonl = analysis::experiments::profiling::reference_trace_jsonl(scale);
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("cannot create {}: {e}", parent.display());
-                std::process::exit(1);
-            }
-        }
-        if let Err(e) = std::fs::write(&path, jsonl) {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("wrote reference telemetry trace to {}", path.display());
-    }
 }
 
 /// Runs one experiment through a remote daemon and prints the result
@@ -179,8 +159,7 @@ fn usage_error(why: &str) -> ! {
 
 fn print_usage() {
     eprintln!(
-        "usage: experiments [<id>|all] [tiny|quick|full] [--csv <dir>] [--trace <path>] \
-         [--remote <host:port>]"
+        "usage: experiments [<id>|all] [tiny|quick|full] [--csv <dir>] [--remote <host:port>]"
     );
     eprintln!();
     eprintln!("ids:");

@@ -18,19 +18,14 @@ fn bad_arguments_print_usage_and_exit_2() {
         (&["e2", "tiny", "--cvs", "out"], "unknown flag `--cvs`"),
         (&["e2", "tiny", "extra"], "unexpected argument `extra`"),
         (&["e2", "tiny", "--csv"], "--csv needs a value"),
-        (&["e2", "tiny", "--trace"], "--trace needs a value"),
+        (&["e2", "tiny", "--trace", "x"], "unknown flag `--trace`"),
         (&["e2", "tiny", "--remote"], "--remote needs a value"),
-        (&["--csv", "--trace", "t"], "--csv needs a value"),
+        (&["--csv", "--remote", "x"], "--csv needs a value"),
         (&["e99", "tiny"], "unknown experiment id `e99`"),
+        (&["p1"], "unknown experiment id `p1`"),
+        (&["fleet"], "unknown experiment id `fleet`"),
         (&["all", "--remote", "x"], "not `all`"),
-        (
-            &["sweep", "--remote", "x", "--csv", "out"],
-            "no --csv or --trace",
-        ),
-        (
-            &["sweep", "--trace", "t", "--remote", "x"],
-            "no --csv or --trace",
-        ),
+        (&["sweep", "--remote", "x", "--csv", "out"], "no --csv"),
         (&["serve"], "unknown experiment id `serve`"),
     ];
     for (args, why) in cases {

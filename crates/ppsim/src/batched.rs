@@ -49,7 +49,7 @@
 use crate::configuration::Configuration;
 use crate::convergence::Advance;
 use crate::count_config::{validate_engine_inputs, CountConfiguration};
-use crate::engine::{PredicateGranularity, SimulationEngine};
+use crate::engine::SimulationEngine;
 use crate::enumerable::EnumerableProtocol;
 use crate::error::SimError;
 use crate::protocol::{CleanInit, InteractionCtx};
@@ -756,9 +756,6 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for BatchSimulation<P> {
     }
     fn interactions(&self) -> u64 {
         self.interactions
-    }
-    fn predicate_granularity(&self) -> PredicateGranularity {
-        PredicateGranularity::Interaction
     }
     fn advance(&mut self, cap: u64) -> Advance {
         self.span

@@ -4,8 +4,7 @@
 //!
 //! * [`SimulationEngine`] — the shared surface as an object-safe trait, with
 //!   predicates over [`CountConfiguration`] (the representation every engine
-//!   can serve) and an explicit [`SimulationEngine::predicate_granularity`]
-//!   so callers can see *when* their predicate is actually observed,
+//!   can serve), observed at each engine's own granularity (see below),
 //! * [`EngineKind`] — the engine selector, including the [`EngineKind::Auto`]
 //!   tier,
 //! * [`SimBuilder`] — protocol + init + seed + kind → boxed engine, replacing
@@ -45,13 +44,13 @@
 //!
 //! * [`PerStepEngine`] and [`BatchSimulation`] observe predicates after every
 //!   interaction that can change the configuration — exact, because silent
-//!   interactions cannot change it ([`PredicateGranularity::Interaction`]).
+//!   interactions cannot change it.
 //! * [`MultiBatchSimulation`] observes predicates at epoch commits — the
 //!   interactions inside an epoch have no defined intermediate order — so
-//!   hitting times carry `O(√n)` observation granularity
-//!   ([`PredicateGranularity::EpochCommit`]).
-//! * [`AdaptiveSimulation`] reports the granularity of whichever engine is
-//!   currently active.
+//!   hitting times overshoot by up to one epoch of `≈ 0.63·√n`
+//!   interactions, an `O(√n)` observation granularity.
+//! * [`AdaptiveSimulation`] observes at the granularity of whichever engine
+//!   is currently active.
 //!
 //! # Quick example
 //!
@@ -128,21 +127,6 @@ impl EngineKind {
     }
 }
 
-/// When an engine actually observes stop/stabilization predicates — see the
-/// [module docs](self) for the per-engine table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub enum PredicateGranularity {
-    /// Observed after every interaction that can change the configuration:
-    /// hitting times are exact at interaction resolution.
-    Interaction,
-    /// Observed at epoch commits with the given expected epoch length
-    /// (`≈ 0.63·√n` interactions): hitting times overshoot by one epoch.
-    EpochCommit {
-        /// Expected epoch length in interactions.
-        expected_interactions: u64,
-    },
-}
-
 /// The shared surface of every simulation engine.
 ///
 /// Predicates are functions of the [`CountConfiguration`] — the one
@@ -179,22 +163,6 @@ pub trait SimulationEngine<P: EnumerableProtocol> {
         self.interactions() as f64 / self.counts().population() as f64
     }
 
-    /// When this engine observes predicates — epoch-level vs
-    /// interaction-level; see the [module docs](self).
-    ///
-    /// The granularity is also the engine's *observability* contract:
-    /// anything finer than it simply does not exist in the engine's state.
-    /// In particular, per-agent [`crate::metrics::InteractionMetrics`] are
-    /// available only from the per-step engine (enable them through
-    /// [`SimBuilder::telemetry`] and read them via
-    /// [`PerStepEngine::interaction_metrics`]) — the count engines treat
-    /// agents as anonymous multiplicities, so a batched or epoch-commit
-    /// granularity implies there is no per-agent interaction load to report,
-    /// at any price. The telemetry deterministic stream carries an
-    /// `interaction_balance` summary only for per-step runs for the same
-    /// reason.
-    fn predicate_granularity(&self) -> PredicateGranularity;
-
     /// The one primitive: executes at least one and at most `cap ≥ 1`
     /// interactions (one advance step, see the [module docs](self)) and
     /// reports how many, and whether the configuration is frozen. A per-step
@@ -217,9 +185,9 @@ pub trait SimulationEngine<P: EnumerableProtocol> {
     }
 
     /// Runs until `pred` holds or `budget` interactions have been executed
-    /// by this call, observing `pred` at this engine's
-    /// [`SimulationEngine::predicate_granularity`]. Returns unsatisfied as
-    /// soon as the engine stalls.
+    /// by this call, observing `pred` at this engine's granularity (see the
+    /// [module docs](self)). Returns unsatisfied as soon as the engine
+    /// stalls.
     fn run_until(
         &mut self,
         pred: &mut dyn FnMut(&CountConfiguration) -> bool,
@@ -357,7 +325,7 @@ impl<P: EnumerableProtocol> PerStepEngine<P> {
 
     /// Attaches a [`Telemetry`] handle. An enabled handle also exposes the
     /// per-agent [`InteractionMetrics`] (only this engine has them — see
-    /// [`SimulationEngine::predicate_granularity`]).
+    /// [`Self::interaction_metrics`]).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -370,8 +338,13 @@ impl<P: EnumerableProtocol> PerStepEngine<P> {
 
     /// The per-agent interaction load since construction, as the wrapped
     /// [`Simulation`] records it — `Some` only while an enabled telemetry
-    /// handle is attached. The count engines cannot offer this at any price;
-    /// see [`SimulationEngine::predicate_granularity`].
+    /// handle is attached (see [`SimBuilder::telemetry`]).
+    ///
+    /// Only the per-step engine has per-agent metrics. The count engines
+    /// treat agents as anonymous multiplicities, so there is no per-agent
+    /// interaction load to report under them, at any price. The telemetry
+    /// deterministic stream carries an `interaction_balance` summary only
+    /// for per-step runs for the same reason.
     pub fn interaction_metrics(&self) -> Option<&InteractionMetrics> {
         self.telemetry.is_enabled().then(|| self.sim.metrics())
     }
@@ -432,9 +405,6 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for PerStepEngine<P> {
     }
     fn interactions(&self) -> u64 {
         self.sim.interactions()
-    }
-    fn predicate_granularity(&self) -> PredicateGranularity {
-        PredicateGranularity::Interaction
     }
     fn advance(&mut self, _cap: u64) -> Advance {
         self.span
@@ -499,11 +469,17 @@ impl Default for AdaptiveConfig {
 
 impl AdaptiveConfig {
     /// Resolves the auto values against a population size and validates the
-    /// band.
+    /// band: `0 ≤ low_activity < high_activity ≤ 1`, both finite. (Written
+    /// as one positive test so that a NaN threshold, which fails every
+    /// comparison, is rejected rather than let through.)
     fn try_resolved(self, n: u64) -> Result<Self, SimError> {
-        if self.low_activity >= self.high_activity {
+        let (low, high) = (self.low_activity, self.high_activity);
+        if !(0.0 <= low && low < high && high <= 1.0) {
             return Err(SimError::InvalidParameters {
-                reason: "hysteresis band requires low_activity < high_activity".into(),
+                reason: format!(
+                    "hysteresis band requires 0 <= low_activity < high_activity <= 1, \
+                     got low_activity = {low}, high_activity = {high}"
+                ),
             });
         }
         Ok(AdaptiveConfig {
@@ -593,8 +569,8 @@ impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
     /// # Errors
     ///
     /// [`SimError::InvalidParameters`] for population/state-space mismatches
-    /// (as for [`BatchSimulation::try_new`]) or an inverted
-    /// [`AdaptiveConfig`] hysteresis band;
+    /// (as for [`BatchSimulation::try_new`]) or an [`AdaptiveConfig`]
+    /// hysteresis band outside `0 ≤ low_activity < high_activity ≤ 1`;
     /// [`SimError::UnsupportedPopulation`] past the engine bound.
     pub fn try_with_config(
         protocol: P,
@@ -704,11 +680,6 @@ impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
         }
     }
 
-    /// The switching policy in effect (with auto values resolved).
-    pub fn adaptive_config(&self) -> AdaptiveConfig {
-        self.config
-    }
-
     /// Hands the protocol and count vector to the other engine.
     fn swap(&mut self) {
         // The fraction that motivated this swap, re-measured here only when
@@ -780,9 +751,6 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for AdaptiveSimulation<P> {
     /// Absolute across handoffs (retired engines' interactions included).
     fn interactions(&self) -> u64 {
         self.base_interactions + on_active!(&self.inner, sim => sim.interactions())
-    }
-    fn predicate_granularity(&self) -> PredicateGranularity {
-        on_active!(&self.inner, sim => sim.predicate_granularity())
     }
 
     /// Runs the activity check if its interval elapsed — possibly handing
@@ -1110,36 +1078,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn granularities_match_the_documented_table() {
-        let batched = SimBuilder::new(OneWayEpidemic::new(64, 1))
-            .kind(EngineKind::Batched)
-            .build();
-        assert_eq!(
-            batched.predicate_granularity(),
-            PredicateGranularity::Interaction
-        );
-        let per_step = SimBuilder::new(OneWayEpidemic::new(64, 1))
-            .kind(EngineKind::PerStep)
-            .build();
-        assert_eq!(
-            per_step.predicate_granularity(),
-            PredicateGranularity::Interaction
-        );
-        let multibatch = SimBuilder::new(OneWayEpidemic::new(10_000, 1))
-            .kind(EngineKind::MultiBatch)
-            .build();
-        match multibatch.predicate_granularity() {
-            PredicateGranularity::EpochCommit {
-                expected_interactions,
-            } => {
-                // ≈ 0.63·√10000 ≈ 63.
-                assert!((60..=70).contains(&expected_interactions));
-            }
-            g => panic!("unexpected granularity {g:?}"),
-        }
-    }
-
     /// A forced-switching config: thresholds inside the epidemic's activity
     /// range and a tight check interval, so a sparse epidemic hands off
     /// batched → multi-batch → batched within one run.
@@ -1241,6 +1179,49 @@ mod tests {
             err.to_string().contains("low_activity < high_activity"),
             "{err}"
         );
+
+        // NaN fails every comparison, so it must not slip past the band
+        // check; neither may thresholds outside [0, 1] or infinite ones.
+        for (low, high) in [
+            (f64::NAN, 0.1),
+            (0.05, f64::NAN),
+            (f64::NAN, f64::NAN),
+            (-0.1, 0.1),
+            (0.05, 1.5),
+            (0.05, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.1),
+        ] {
+            let band = AdaptiveConfig {
+                low_activity: low,
+                high_activity: high,
+                check_interval: 0,
+            };
+            let err = AdaptiveSimulation::try_with_config(
+                OneWayEpidemic::new(8, 1),
+                CountConfiguration::from_counts(vec![7, 1]),
+                0,
+                band,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidParameters { .. }),
+                "({low}, {high}): {err}"
+            );
+            assert!(err.to_string().contains("hysteresis band"), "{err}");
+        }
+        // The closed ends of [0, 1] are accepted.
+        let edge = AdaptiveConfig {
+            low_activity: 0.0,
+            high_activity: 1.0,
+            check_interval: 0,
+        };
+        assert!(AdaptiveSimulation::try_with_config(
+            OneWayEpidemic::new(8, 1),
+            CountConfiguration::from_counts(vec![7, 1]),
+            0,
+            edge,
+        )
+        .is_ok());
     }
 
     #[test]

@@ -182,8 +182,8 @@ impl SupportEnumerable for TwoWayEpidemic {
 /// [`crate::Simulation`] with the same seed. The engines draw randomness
 /// differently, so for equal seeds the returned times are different samples
 /// of the same distribution, and each engine observes completion at its own
-/// [`crate::engine::SimulationEngine::predicate_granularity`] (exact for
-/// per-step and batched, up to one `O(√n)` epoch late for multi-batch).
+/// granularity (see the [`crate::engine`] module docs: exact for per-step and
+/// batched, up to one `O(√n)` epoch late for multi-batch).
 pub fn measure_epidemic_time_with<P>(
     protocol: P,
     kind: EngineKind,

@@ -121,8 +121,7 @@ pub use convergence::{Advance, StabilizationResult};
 pub use count_config::{CountConfiguration, MAX_POPULATION};
 pub use digest::{fnv1a_64, Fnv64, WordHash};
 pub use engine::{
-    AdaptiveConfig, AdaptiveSimulation, EngineKind, PerStepEngine, PredicateGranularity,
-    SimBuilder, SimulationEngine,
+    AdaptiveConfig, AdaptiveSimulation, EngineKind, PerStepEngine, SimBuilder, SimulationEngine,
 };
 pub use enumerable::EnumerableProtocol;
 pub use error::SimError;

@@ -61,7 +61,7 @@ use crate::batched::sample_support;
 use crate::configuration::Configuration;
 use crate::convergence::Advance;
 use crate::count_config::{validate_engine_inputs, CountConfiguration};
-use crate::engine::{PredicateGranularity, SimulationEngine};
+use crate::engine::SimulationEngine;
 use crate::enumerable::EnumerableProtocol;
 use crate::error::SimError;
 use crate::protocol::{CleanInit, InteractionCtx};
@@ -531,13 +531,6 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for MultiBatchSimulation<P> {
     fn interactions(&self) -> u64 {
         self.interactions
     }
-    fn predicate_granularity(&self) -> PredicateGranularity {
-        // The birthday bound puts the expected epoch length at ≈ 0.63·√n.
-        let expected = (0.6321 * (self.counts.population() as f64).sqrt()).ceil() as u64;
-        PredicateGranularity::EpochCommit {
-            expected_interactions: expected.max(1),
-        }
-    }
     fn advance(&mut self, cap: u64) -> Advance {
         self.span
             .get_or_insert_with(|| self.telemetry.span(SpanKind::MultiBatchRun));
@@ -644,6 +637,25 @@ mod tests {
             out.interactions
         );
         assert_eq!(sim.interactions(), out.interactions);
+    }
+
+    /// The mean epoch length is the collision length of the sampler: an
+    /// epoch of `L` interactions draws `2L` agents, the first repeat lands
+    /// at `2L ≈ √(πn/2)`, so `L / √n ≈ √(π/8) ≈ 0.63` at every `n`. Drift
+    /// in this constant means a broken epoch scheduler.
+    #[test]
+    fn mean_epoch_length_is_the_birthday_constant_times_sqrt_n() {
+        for (n, seed) in [(10_000usize, 1u64), (100_000, 2), (1_000_000, 3)] {
+            let mut sim = MultiBatchSimulation::clean(OneWayEpidemic::new(n, n / 2), seed);
+            while sim.epochs() < 1_000 {
+                sim.advance(u64::MAX);
+            }
+            let constant = sim.interactions() as f64 / sim.epochs() as f64 / (n as f64).sqrt();
+            assert!(
+                (0.59..=0.67).contains(&constant),
+                "n = {n}: mean epoch length / √n = {constant}"
+            );
+        }
     }
 
     #[test]

@@ -369,7 +369,7 @@ pub enum TraceEvent {
 /// [`InteractionMetrics`](crate::InteractionMetrics) (Lemma A.1's empirical
 /// counterpart). Deterministic-stream data; unavailable under the count
 /// engines, which never materialize agent identities — see
-/// [`SimulationEngine::predicate_granularity`](crate::SimulationEngine::predicate_granularity)
+/// [`PerStepEngine::interaction_metrics`](crate::PerStepEngine::interaction_metrics)
 /// for that contract.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BalanceSummary {

@@ -17,11 +17,60 @@
 //! The trial summaries of the two runs are also compared bit-for-bit — the
 //! determinism guarantee, enforced wherever the smoke runs. Any argument
 //! other than `--assert` prints the usage and exits with status 2.
+//!
+//! The workload is one one-way-epidemic completion per trial under the
+//! `Auto` engine: a few milliseconds per trial, so the fleet fan-out — not
+//! the engine — dominates the measurement.
 
-use analysis::experiments::fleet::measure_fleet_throughput;
+use analysis::TrialSummary;
 use harness::Cli;
+use ppsim::epidemic::{measure_epidemic_time_with, OneWayEpidemic};
+use ppsim::{EngineKind, TrialFleet};
+use std::time::Instant;
 
 const USAGE: &str = "usage: fleet_throughput [--assert]";
+
+/// One thread configuration's measurement.
+struct FleetThroughput {
+    /// Fleet wall-clock in milliseconds.
+    wall_ms: f64,
+    /// Trials per wall-clock second.
+    trials_per_sec: f64,
+    /// The trials folded in trial order (observation = completion parallel
+    /// time).
+    summary: TrialSummary,
+}
+
+/// Runs the fleet workload with a forced thread count and measures
+/// throughput plus the aggregate.
+fn measure_fleet_throughput(
+    n: usize,
+    trials: usize,
+    base_seed: u64,
+    threads: usize,
+) -> FleetThroughput {
+    let nf = n as f64;
+    let budget = (50.0 * nf * nf.ln().max(1.0)).ceil() as u64;
+    let fleet = TrialFleet::new(trials, base_seed);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool builds");
+    let started = Instant::now();
+    let observations = pool.install(|| {
+        fleet.run(|seed| {
+            measure_epidemic_time_with(OneWayEpidemic::new(n, 1), EngineKind::Auto, seed, budget)
+                .map(|interactions| interactions as f64 / nf)
+        })
+    });
+    let summary = TrialSummary::of(&observations);
+    let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
+    FleetThroughput {
+        wall_ms,
+        trials_per_sec: trials as f64 / (wall_ms / 1_000.0).max(1e-9),
+        summary,
+    }
+}
 
 fn main() {
     let cli = Cli::new(USAGE, std::env::args().skip(1), 1);

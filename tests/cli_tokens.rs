@@ -32,16 +32,6 @@ fn assert_rejected(name: &str, args: &[&str], token: &str) {
 }
 
 #[test]
-fn epidemic_examples_reject_bad_tokens_and_sizes() {
-    let name = "adaptive_scale";
-    assert_rejected(name, &["1e4"], "1e4");
-    assert_rejected(name, &["1000", "x7"], "x7");
-    assert_rejected(name, &["1000", "7", "extra"], "extra");
-    assert_rejected(name, &["0"], "0");
-    assert_rejected(name, &["1"], "1");
-}
-
-#[test]
 fn discovered_electleader_rejects_unknown_engines() {
     assert_rejected(
         "discovered_electleader",
