@@ -22,6 +22,8 @@
 
 pub mod comparison;
 pub mod discovered;
+#[cfg(test)]
+mod fleet;
 pub mod recovery;
 pub mod reset;
 pub mod scaling;
