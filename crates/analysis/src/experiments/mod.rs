@@ -18,7 +18,9 @@
 //!   (synthetic-coin quality, Appendix B),
 //! * [`scaling`] — E10 (batched vs per-step engine throughput at large `n`),
 //! * [`discovered`] — E11 (agreement of the count-based engines, run on
-//!   `ElectLeader_r` via dynamic state indexing, with the per-step engine).
+//!   `ElectLeader_r` via dynamic state indexing, with the per-step engine),
+//! * [`sweep`] — the deterministic epidemic sweep, the one id outside the
+//!   registry.
 
 pub mod comparison;
 pub mod discovered;
@@ -28,10 +30,11 @@ pub mod recovery;
 pub mod reset;
 pub mod scaling;
 pub mod substrate;
+pub mod sweep;
 pub mod tradeoff;
 
 use crate::scale::Scale;
-use crate::service::{service_sweep, JobSpec, SWEEP_EXPERIMENT};
+use crate::spec::JobSpec;
 use crate::table::Table;
 use ppsim::rng::derive_seed;
 use ppsim::simulation::StabilizationOptions;
@@ -41,7 +44,7 @@ use ssle_core::{output, ElectLeader, Scenario};
 /// One row of the experiment registry.
 #[derive(Debug)]
 pub struct Experiment {
-    /// The id the `experiments` binary and the service accept (`"e1"` … `"e11"`).
+    /// The id the `experiments` binary accepts (`"e1"` … `"e11"`).
     pub id: &'static str,
     /// One line saying what the table measures, for the `experiments` usage.
     pub about: &'static str,
@@ -50,8 +53,8 @@ pub struct Experiment {
 }
 
 /// Every experiment, in the order [`all`] runs them. The `sweep` document
-/// is the one id outside the table: it is a service workload whose spec
-/// carries its own engine, seed and trial count.
+/// is the one id outside the table: its spec carries its own engine, seed
+/// and trial count.
 pub const REGISTRY: &[Experiment] = &[
     Experiment {
         id: "e1",
@@ -116,11 +119,11 @@ pub fn all(scale: Scale) -> Vec<Table> {
 }
 
 /// Looks up an experiment id without running anything: a [`REGISTRY`] row's
-/// function, or for `"sweep"` the experiment service's deterministic
-/// epidemic sweep at that scale's default spec.
+/// function, or for `"sweep"` the deterministic epidemic sweep at that
+/// scale's default spec.
 pub fn by_id(id: &str) -> Option<fn(Scale) -> Table> {
-    if id == SWEEP_EXPERIMENT {
-        return Some(|scale| service_sweep(&JobSpec::new(SWEEP_EXPERIMENT, scale)));
+    if id == sweep::SWEEP_EXPERIMENT {
+        return Some(|scale| sweep::epidemic_sweep(&JobSpec::new(sweep::SWEEP_EXPERIMENT, scale)));
     }
     REGISTRY.iter().find(|e| e.id == id).map(|e| e.run)
 }
@@ -177,13 +180,13 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), REGISTRY.len(), "registry ids are unique");
         assert!(
-            !ids.contains(&SWEEP_EXPERIMENT),
+            !ids.contains(&sweep::SWEEP_EXPERIMENT),
             "sweep is not a registry row"
         );
         for e in REGISTRY {
             assert!(by_id(e.id).is_some(), "{}", e.id);
         }
-        assert!(by_id(SWEEP_EXPERIMENT).is_some());
+        assert!(by_id(sweep::SWEEP_EXPERIMENT).is_some());
         for unknown in ["all", "e0", "e12", "E1", "f1", "fleet", "p1", ""] {
             assert!(by_id(unknown).is_none(), "{unknown:?} must be unknown");
         }

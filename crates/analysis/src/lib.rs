@@ -12,14 +12,11 @@
 //! * [`experiments`] — one function per experiment, each returning a
 //!   [`Table`] of measured rows, listed once with its id in
 //!   [`experiments::REGISTRY`],
-//! * [`service`] — the experiment service layer: the [`ExperimentService`]
-//!   trait (spec in, rendered result-table JSON out), the canonical
-//!   [`JobSpec`] with its content-addressed cache key, and the in-process
-//!   [`LocalService`] backend the `ssle-server` daemon's workers call into.
+//! * [`spec`] — the canonical [`JobSpec`] of one run, whose content-addressed
+//!   [`JobSpec::cache_key`] is the result id the `sweep` document carries.
 //!
 //! The `experiments` binary in the `bench` crate is the one command-line
-//! front end to these tables; the `ssle-server` daemon serves the same
-//! registry over HTTP.
+//! front end to these tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,12 +24,10 @@
 pub mod experiments;
 pub mod runner;
 pub mod scale;
-pub mod service;
+pub mod spec;
 pub mod table;
 
 pub use runner::{summarize_trials, TrialSummary};
 pub use scale::{EngineKind, Scale};
-pub use service::{
-    ExperimentService, JobSpec, JobState, JobStatus, LocalService, ServiceError, ServiceHealth,
-};
+pub use spec::JobSpec;
 pub use table::Table;

@@ -3,7 +3,7 @@
 //! Every experiment produces a [`Table`]: a titled grid of stringly-typed
 //! cells plus free-form notes (e.g. fitted slopes). Tables render to Markdown
 //! (the driver's stdout), CSV (for archiving / plotting) and JSON (the
-//! service's result document).
+//! result document).
 
 use serde::Serialize;
 
@@ -79,10 +79,9 @@ impl Table {
     /// Renders the table as a pretty-printed JSON document with the same
     /// field layout `serde_json` would produce for this struct.
     ///
-    /// This is the wire format of the experiment service (`GET
-    /// /jobs/:id/result` returns exactly these bytes, and the
-    /// content-addressed cache stores them), so the output must be valid
-    /// JSON for *any* experiment output — escaping is delegated to
+    /// This is the result document the driver writes with `--csv` (and
+    /// `ci/sweep-quick.json` pins byte for byte), so the output must be
+    /// valid JSON for *any* experiment output — escaping is delegated to
     /// [`json_escape`].
     pub fn to_json(&self) -> String {
         fn string_array(items: &[String], indent: &str) -> String {

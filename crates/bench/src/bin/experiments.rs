@@ -11,21 +11,15 @@
 //! The first argument selects the experiment (an id of
 //! `analysis::experiments::REGISTRY` — `e1` … `e11` — or `sweep`, or
 //! `all`), the second the scale (`tiny`, `quick`, `full`; default `quick`).
-//! A bad scale or experiment id, a third positional, an unknown flag, a
-//! flag missing its value, or `--remote` with `all` or `--csv` prints the
-//! usage and exits with status 2. With `--csv <dir>` every table is
-//! additionally written as a CSV file and as a JSON document into the given
-//! directory; a failed write exits with status 1.
-//!
-//! With `--remote HOST:PORT` a single-experiment selection runs on a
-//! running `ssle-server` daemon instead of locally, and the returned
-//! result-table JSON document (byte-identical to a local run) is printed to
-//! stdout; `all` cannot be sent remotely.
+//! A bad scale or experiment id, a third positional, an unknown flag, or
+//! `--csv` without its value prints the usage and exits with status 2.
+//! With `--csv <dir>` every table is additionally written as a CSV file and
+//! as a JSON document into the given directory; a failed write exits with
+//! status 1.
 
 #![forbid(unsafe_code)]
 
-use analysis::{experiments, ExperimentService, JobSpec, Scale, Table};
-use ssle_client::HttpClient;
+use analysis::{experiments, Scale, Table};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -37,24 +31,18 @@ fn main() {
     }
 
     let mut csv_dir: Option<&str> = None;
-    let mut remote_addr: Option<&str> = None;
     let mut positionals: Vec<&str> = Vec::new();
-    // `--csv <dir>` and `--remote <addr>` may appear before, between, or
-    // after the (at most two) positionals.
+    // `--csv <dir>` may appear before, between, or after the (at most two)
+    // positionals.
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let slot = match arg.as_str() {
-            "--csv" => &mut csv_dir,
-            "--remote" => &mut remote_addr,
+        match arg.as_str() {
+            "--csv" => match iter.next() {
+                Some(value) if !value.starts_with('-') => csv_dir = Some(value),
+                _ => usage_error("--csv needs a value"),
+            },
             flag if flag.starts_with('-') => usage_error(&format!("unknown flag `{flag}`")),
-            positional => {
-                positionals.push(positional);
-                continue;
-            }
-        };
-        match iter.next() {
-            Some(value) if !value.starts_with('-') => *slot = Some(value),
-            _ => usage_error(&format!("{arg} needs a value")),
+            positional => positionals.push(positional),
         }
     }
     if let Some(extra) = positionals.get(2) {
@@ -71,16 +59,6 @@ fn main() {
                 .unwrap_or_else(|| usage_error(&format!("unknown experiment id `{id}`"))),
         ),
     };
-    if let Some(addr) = remote_addr {
-        if run.is_none() {
-            usage_error("--remote runs a single experiment id, not `all`");
-        }
-        if csv_dir.is_some() {
-            usage_error("--remote prints the result document; it takes no --csv");
-        }
-        run_remote(addr, selection, scale);
-        return;
-    }
 
     let started = Instant::now();
     let tables: Vec<Table> = match run {
@@ -128,28 +106,6 @@ fn main() {
     }
 }
 
-/// Runs one experiment through a remote daemon and prints the result
-/// document — the same bytes `Table::to_json` produces locally.
-fn run_remote(addr: &str, selection: &str, scale: Scale) {
-    let spec = JobSpec::new(selection, scale);
-    let client = HttpClient::new(addr);
-    match client.run_job(&spec) {
-        // `print!`, not `println!`: stdout must carry the document's exact
-        // bytes (CI byte-diffs it against a locally written `--csv` JSON
-        // file, which has no trailing newline).
-        Ok(document) => {
-            use std::io::Write;
-            let mut stdout = std::io::stdout();
-            let _ = stdout.write_all(document.as_bytes());
-            let _ = stdout.flush();
-        }
-        Err(e) => {
-            eprintln!("remote job against {addr} failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// Prints `why` and the usage, then exits with status 2.
 fn usage_error(why: &str) -> ! {
     eprintln!("{why}");
@@ -158,13 +114,11 @@ fn usage_error(why: &str) -> ! {
 }
 
 fn print_usage() {
-    eprintln!(
-        "usage: experiments [<id>|all] [tiny|quick|full] [--csv <dir>] [--remote <host:port>]"
-    );
+    eprintln!("usage: experiments [<id>|all] [tiny|quick|full] [--csv <dir>]");
     eprintln!();
     eprintln!("ids:");
     for e in experiments::REGISTRY {
         eprintln!("  {:<5} {}", e.id, e.about);
     }
-    eprintln!("  sweep deterministic epidemic sweep (timing-free; the service's native workload)");
+    eprintln!("  sweep deterministic epidemic sweep (timing-free; carries its spec and result id)");
 }

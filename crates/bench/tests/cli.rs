@@ -1,6 +1,7 @@
 //! The experiments driver rejects bad arguments loudly instead of running
 //! something else: usage errors exit 2 before any experiment runs, and a
-//! failed result write exits 1.
+//! failed result write exits 1. The `sweep quick` document it writes is
+//! byte-identical to the committed `ci/sweep-quick.json`.
 
 use std::process::{Command, Output};
 
@@ -19,13 +20,11 @@ fn bad_arguments_print_usage_and_exit_2() {
         (&["e2", "tiny", "extra"], "unexpected argument `extra`"),
         (&["e2", "tiny", "--csv"], "--csv needs a value"),
         (&["e2", "tiny", "--trace", "x"], "unknown flag `--trace`"),
-        (&["e2", "tiny", "--remote"], "--remote needs a value"),
-        (&["--csv", "--remote", "x"], "--csv needs a value"),
+        (&["--csv", "--cvs", "x"], "--csv needs a value"),
         (&["e99", "tiny"], "unknown experiment id `e99`"),
         (&["p1"], "unknown experiment id `p1`"),
         (&["fleet"], "unknown experiment id `fleet`"),
-        (&["all", "--remote", "x"], "not `all`"),
-        (&["sweep", "--remote", "x", "--csv", "out"], "no --csv"),
+        (&["sweep", "--remote", "x"], "unknown flag `--remote`"),
         (&["serve"], "unknown experiment id `serve`"),
     ];
     for (args, why) in cases {
@@ -48,4 +47,22 @@ fn failed_result_write_exits_1() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("cannot write"), "{stderr}");
     assert!(!stderr.contains("wrote CSV/JSON"), "{stderr}");
+}
+
+#[test]
+fn sweep_quick_document_matches_the_committed_reference() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-sweep-quick");
+    let out = experiments(&["sweep", "quick", "--csv", dir.to_str().expect("utf-8 path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let fresh = std::fs::read(dir.join("sweep.json")).expect("the driver wrote sweep.json");
+    let reference = std::fs::read(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/sweep-quick.json"),
+    )
+    .expect("the committed reference");
+    assert!(
+        fresh == reference,
+        "sweep quick drifted from ci/sweep-quick.json:\n{}",
+        String::from_utf8_lossy(&fresh)
+    );
 }

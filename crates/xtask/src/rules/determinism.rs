@@ -30,8 +30,6 @@ const MAP_SCOPE: &[&str] = &[
     "crates/ssle-core/",
     "crates/baselines/",
     "crates/analysis/",
-    "crates/ssle-server/",
-    "crates/ssle-client/",
 ];
 
 /// Modules approved to read wall clocks and the environment.

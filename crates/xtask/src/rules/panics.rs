@@ -1,15 +1,11 @@
-//! Rule `panic`: engine and service code must not panic on recoverable
-//! conditions.
+//! Rule `panic`: engine code must not panic on recoverable conditions.
 //!
 //! `crates/ppsim/src/` routes fallible construction and stepping through the
-//! typed `SimError` (`try_new`, `try_run_until`, ..), and the experiment
-//! daemon/client (`crates/ssle-server/src/`, `crates/ssle-client/src/`)
-//! route theirs through `ServiceError` and friends — a panicking request
-//! handler or worker takes the whole daemon down, so the long-lived service
-//! is held to the same bar as the engine. Bare `.unwrap()`, `.expect(..)`,
-//! and `panic!(..)` in non-test code in these trees bypass that contract
-//! (poisoned-lock recovery uses `unwrap_or_else(|p| p.into_inner())`, which
-//! this rule deliberately does not match). The few legitimate sites —
+//! typed `SimError` (`try_new`, `try_run_until`, ..). Bare `.unwrap()`,
+//! `.expect(..)`, and `panic!(..)` in non-test code in that tree bypass that
+//! contract (poisoned-lock recovery uses
+//! `unwrap_or_else(|p| p.into_inner())`, which this rule deliberately does
+//! not match). The few legitimate sites —
 //! documented panicking wrappers whose messages are pinned by
 //! `#[should_panic]` tests, and invariants proven by construction — carry
 //! explicit waivers.
@@ -17,13 +13,8 @@
 use super::{text_at, Finding};
 use crate::source::SourceFile;
 
-/// The trees held to the no-panic contract: the ppsim engine plus the
-/// experiment service daemon and its client.
-const SCOPE: &[&str] = &[
-    "crates/ppsim/src/",
-    "crates/ssle-server/src/",
-    "crates/ssle-client/src/",
-];
+/// The trees held to the no-panic contract: the ppsim engine.
+const SCOPE: &[&str] = &["crates/ppsim/src/"];
 
 /// Runs this rule over `file`, appending findings.
 pub fn check(file: &SourceFile, findings: &mut Vec<Finding>) {
@@ -56,7 +47,7 @@ pub fn check(file: &SourceFile, findings: &mut Vec<Finding>) {
                 line: t.line,
                 message: format!(
                     "{what} in no-panic scope: route errors through the typed error \
-                     (SimError / ServiceError), or waive with a reason"
+                     (SimError), or waive with a reason"
                 ),
             });
         }
@@ -92,13 +83,11 @@ mod tests {
     }
 
     #[test]
-    fn service_crates_are_in_scope() {
-        let src = "fn f() { x.unwrap(); }\n";
-        assert_eq!(lint("crates/ssle-server/src/server.rs", src).len(), 1);
-        assert_eq!(lint("crates/ssle-client/src/lib.rs", src).len(), 1);
-        // Poisoned-lock recovery is the sanctioned idiom, not a finding.
+    fn poisoned_lock_recovery_is_not_a_finding() {
         let recover = "fn f() { let g = m.lock().unwrap_or_else(|p| p.into_inner()); }\n";
-        assert!(lint("crates/ssle-server/src/queue.rs", recover).is_empty());
+        assert!(lint("crates/ppsim/src/fleet.rs", recover).is_empty());
+        let bare = "fn f() { let g = m.lock().unwrap(); }\n";
+        assert_eq!(lint("crates/ppsim/src/fleet.rs", bare).len(), 1);
     }
 
     #[test]

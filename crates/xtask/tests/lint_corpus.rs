@@ -24,7 +24,7 @@ fn good_corpus_is_clean() {
         "expected a clean good corpus, got: {:#?}",
         report.findings
     );
-    assert_eq!(report.files_scanned, 6);
+    assert_eq!(report.files_scanned, 5);
 }
 
 #[test]
@@ -40,9 +40,6 @@ fn bad_corpus_triggers_every_rule() {
 
     // panic: unwrap, expect, panic! in engine code.
     assert_eq!(hits("panic", "ppsim/src/batched2.rs"), 3);
-    // panic: a lock .unwrap() in daemon worker code (the service crates sit
-    // in the same no-panic scope as the engine).
-    assert_eq!(hits("panic", "ssle-server/src/worker.rs"), 1);
     // determinism: hash-map for-loop, plus the ambient clock reads — the
     // telemetry probe pins that timing reads in ppsim outside the
     // sanctioned telemetry/clock.rs module still fail.
@@ -58,10 +55,10 @@ fn bad_corpus_triggers_every_rule() {
     // waiver: unknown rule + missing reason.
     assert_eq!(hits("waiver", "ssle-core/src/tally.rs"), 2);
 
-    // 4 dispatch + 4 panic + 3 determinism + 2 unsafe + 2 waiver + 1 rng.
+    // 4 dispatch + 3 panic + 3 determinism + 2 unsafe + 2 waiver + 1 rng.
     let total: usize = report.findings.len();
     assert_eq!(
-        total, 16,
+        total, 15,
         "unexpected extra findings: {:#?}",
         report.findings
     );
