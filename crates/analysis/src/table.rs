@@ -179,29 +179,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders a float as a JSON *value* token.
-///
-/// JSON has no NaN or infinity literals — `NaN` in a response body is a
-/// parse error in every standards-compliant consumer. The wire policy is
-/// **non-finite → `null`**; finite values use Rust's shortest round-trip
-/// `Display`, which is always a valid JSON number.
-///
-/// # Examples
-///
-/// ```
-/// use analysis::table::json_number;
-/// assert_eq!(json_number(0.5), "0.5");
-/// assert_eq!(json_number(f64::NAN), "null");
-/// assert_eq!(json_number(f64::INFINITY), "null");
-/// ```
-pub fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        value.to_string()
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Formats a float with a sensible number of significant digits for table
 /// cells.
 pub fn fmt_f64(value: f64) -> String {
@@ -305,18 +282,6 @@ mod tests {
             }
             prev_backslash = c == '\\' && !prev_backslash;
         }
-    }
-
-    #[test]
-    fn json_number_maps_non_finite_to_null() {
-        assert_eq!(json_number(0.0), "0");
-        assert_eq!(json_number(-1.5), "-1.5");
-        // Huge magnitudes expand to plain decimal — long, but valid JSON
-        // that round-trips exactly.
-        assert_eq!(json_number(1e300).parse::<f64>(), Ok(1e300));
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(f64::INFINITY), "null");
-        assert_eq!(json_number(f64::NEG_INFINITY), "null");
     }
 
     #[test]

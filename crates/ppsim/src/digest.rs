@@ -3,8 +3,8 @@
 //! The workspace needs one hash whose value is part of public contracts: the
 //! fleet-determinism probe folds every retained sample's bit pattern into a
 //! digest column that CI diffs byte-for-byte across thread counts, and the
-//! experiment service addresses cached results by the digest of the canonical
-//! job spec (`cache/<hex16>.json`). `std::hash` is explicitly *not* stable
+//! `sweep` document's result id is the digest of its canonical job spec
+//! (`analysis`'s `JobSpec::cache_key`). `std::hash` is explicitly *not* stable
 //! across releases or processes (`RandomState`), so those contracts get a
 //! hand-pinned [FNV-1a] instead: trivially portable, allocation-free, and
 //! pinned here by known-vector tests so the constants can never drift

@@ -46,8 +46,8 @@
 //!   deterministic stream (byte-identical across thread counts) and a
 //!   timing stream (wall clock, observability only),
 //! * [`digest`] — stable FNV-1a content digests ([`Fnv64`]): the hash behind
-//!   the fleet-determinism sample digest and the experiment service's
-//!   content-addressed result cache (`cache/<hex16>.json`),
+//!   the fleet-determinism sample digest and the `sweep` document's result
+//!   id (`analysis`'s `JobSpec::cache_key`),
 //! * [`epidemic`] — one-way/two-way epidemic protocols and measurement helpers
 //!   (the paper's Lemma A.2 workhorse),
 //! * [`coin`] — the synthetic-coin derandomization of the paper's Appendix B,
