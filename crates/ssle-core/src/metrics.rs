@@ -92,9 +92,12 @@ pub fn state_bits(params: &Params) -> StateBits {
 /// The *logical* per-agent footprint (in bytes) of one agent state as
 /// represented by this implementation: the inline `AgentState` plus its heap
 /// payloads — for a verifier, its message IDs (4 bytes each), its class
-/// headers ([`CLASS_HEADER_BYTES`](crate::verify::CLASS_HEADER_BYTES) each) and its observations (8 bytes each).
-/// A fresh verifier of a size-`m` group holds `2m²` IDs in `m` classes and
-/// `2m²` observations: `24m² + 12m` bytes.
+/// headers ([`CLASS_HEADER_BYTES`](crate::verify::CLASS_HEADER_BYTES) each) and its observations
+/// ([`Observations::payload_bytes`](crate::verify::Observations::payload_bytes):
+/// a byte per ID plus 8 per palette entry, or 8 per ID once the array has
+/// switched to words). A fresh verifier of a size-`m` group holds `2m²` IDs
+/// in `m` classes and `2m²` observations of one content: `10m² + 12m + 8`
+/// bytes.
 ///
 /// This is the paper's state-size accounting, one agent at a time: a
 /// verifier's message store and observations are copy-on-write payloads that
@@ -116,7 +119,7 @@ pub fn measured_state_bytes(state: &AgentState) -> usize {
         }
         AgentState::Verifying(v) => {
             let dc = v.sv.dc.active().map_or(0, |active| {
-                active.msgs.payload_bytes() + active.observations.len() * std::mem::size_of::<u64>()
+                active.msgs.payload_bytes() + active.observations.payload_bytes()
             });
             base + dc
         }
@@ -191,14 +194,15 @@ mod tests {
     fn fresh_verifier_payload_is_its_messages_and_observations() {
         // A fresh verifier holds 2m messages of each of its group's m
         // governors, one content class per governor, and observes the 2m²
-        // IDs its own rank governs.
+        // IDs its own rank governs, a byte each, all in one palette entry.
         let p = ElectLeader::with_n_r(32, 8).unwrap();
         let m = p.partition().group_size_of(3);
         let cells = 2 * m * m;
         let payload =
             measured_state_bytes(&p.verifier_state(3)) - std::mem::size_of::<AgentState>();
         assert_eq!(CLASS_HEADER_BYTES, 12);
-        assert_eq!(payload, cells * 4 + m * CLASS_HEADER_BYTES + cells * 8);
+        assert_eq!(payload, cells * 4 + m * CLASS_HEADER_BYTES + cells + 8);
+        assert_eq!(payload, 10 * m * m + 12 * m + 8);
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //!   and probes `v`'s IDs against it, so an ID the two hold under different
 //!   contents is a collision too.
 //! - Protocol 12 compares each class of the owner's governor with the
-//!   owner's observations; Protocol 13 stamps the owner's governor, merging
-//!   its classes into one.
+//!   owner's observations, one index byte per ID against the palette slot
+//!   of the class's content; Protocol 13 stamps the owner's governor,
+//!   merging its classes into one, and records the signature's slot in the
+//!   stamped IDs' bytes.
 //! - Protocol 14 takes each governor's classes of both stores in content
 //!   order. It finds each class's floor split by a binary search for the
 //!   `k`-th smallest ID of the two ID lists, and merges both halves straight
@@ -179,7 +181,7 @@ pub fn check_message_consistency(
     other
         .msgs
         .classes_for(governor)
-        .any(|(content, ids)| ids.iter().any(|&id| owner.observations.get(id) != content))
+        .any(|(content, ids)| owner.observations.any_differs(ids, content))
 }
 
 /// Protocol 13: advance the owner's signature counter (resampling the
@@ -205,20 +207,12 @@ pub fn update_messages(
         // Lines 5–8: rewrite the owner's own held messages to the new
         // signature and record the observations.
         let ids = owner.msgs.stamp(governor, owner.signature);
-        record(owner.observations.raw_values_mut(), ids, owner.signature);
+        owner.observations.record(ids, owner.signature);
     }
 
     // Lines 9–12: rewrite the partner's messages governed by the owner.
     let ids = other.msgs.stamp(governor, owner.signature);
-    record(owner.observations.raw_values_mut(), ids, owner.signature);
-}
-
-/// Records `signature` in the owner's `observations` (entry `id - 1`) for
-/// every stamped ID.
-fn record(observations: &mut [u64], ids: &[u32], signature: u64) {
-    for &id in ids {
-        observations[(id - 1) as usize] = signature;
-    }
+    owner.observations.record(ids, owner.signature);
 }
 
 /// Protocol 14: redistribute the messages held by the two agents so that for
@@ -652,6 +646,52 @@ mod tests {
         assert_eq!(scratch.pass, stale - 1);
         // The next pass reuses `stale`, and probes `a`'s IDs.
         assert!(!scratch.shares(&b, &a), "a stale tag read as a duplicate");
+    }
+
+    #[test]
+    fn a_long_run_keeps_every_observations_array_in_palette_form() {
+        // An owner's observations hold the few signatures its recent stamps
+        // wrote, far below the 256 a palette holds, so compaction keeps up
+        // and no array switches to one word per ID.
+        let (params, partition) = setup(64, 16);
+        let ranks: Vec<u32> = partition.ranks_in(0).collect();
+        let m = ranks.len();
+        assert_eq!(m, 16);
+        let mut states: Vec<DetectCollisionState> = ranks
+            .iter()
+            .map(|&rank| initial_state(&params, &partition, rank))
+            .collect();
+        let mut rng = SimRng::seed_from_u64(29);
+        let mut refreshes = vec![0usize; m];
+        for step in 0..50_000u64 {
+            let i = ppsim::rng::uniform_below(&mut rng, m as u64) as usize;
+            let j = (i + 1 + ppsim::rng::uniform_below(&mut rng, m as u64 - 1) as usize) % m;
+            let (a, b) = if i < j {
+                let (left, right) = states.split_at_mut(j);
+                (&mut left[i], &mut right[0])
+            } else {
+                let (left, right) = states.split_at_mut(i);
+                (&mut right[0], &mut left[j])
+            };
+            let signatures = (active(a).signature, active(b).signature);
+            let mut ctx = InteractionCtx::new(&mut rng, step);
+            detect_collision(&params, &partition, ranks[i], a, ranks[j], b, &mut ctx);
+            assert!(
+                !a.is_error() && !b.is_error(),
+                "false positive at step {step}"
+            );
+            refreshes[i] += usize::from(active(a).signature != signatures.0);
+            refreshes[j] += usize::from(active(b).signature != signatures.1);
+        }
+        // Every owner wrote more signatures than a palette holds, so every
+        // palette filled up and dropped its stale contents.
+        assert!(refreshes.iter().all(|&r| r >= 256), "{refreshes:?}");
+        let ids = 2 * m * m;
+        for state in &states {
+            let observations = &active(state).observations;
+            assert!(!observations.is_dense());
+            assert!(observations.payload_bytes() <= ids + 256 * 8);
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! the messages of one governor, and the `content` carries the governor's
 //! signature at the time of the last rewrite. An agent stores the messages it
 //! currently holds in a [`MessageStore`] — a sparse map from
-//! `(governor position in group, ID)` to content — and keeps a dense
-//! `observations` array recording the content it last wrote into each of its
-//! *own* messages.
+//! `(governor position in group, ID)` to content — and keeps an
+//! [`Observations`] array recording the content it last wrote into each of
+//! its *own* messages.
 //!
 //! Layout: a store is class-major. Protocol 14 splits messages per
 //! `(governor, content)` class, and a store holds few classes: when a clean
@@ -30,15 +30,25 @@
 //! every group of at most [`MAX_GROUP_SIZE`] ranks; `Params` rejects larger
 //! groups.
 //!
-//! Sharing: a store's buffers, and the observations array, are copy-on-write
-//! payloads. Cloning a store or an observations array (as the state
-//! interner, the support probe and `decode` do) bumps a reference count and
-//! shares the buffers; the first mutable access through one of the sharers
-//! copies them. The kernel writes each step's stores into buffers of its own
-//! and trades them for the buffers of unshared stores (a shared store gets
-//! an exact copy). Each payload also caches its content hash, so hashing a
-//! verifier state reads two cached words instead of its message and
-//! observation words.
+//! An observations array takes one byte per ID, an index into a palette of
+//! the distinct contents it holds (8 bytes each), since an owner's
+//! observations hold only the few signatures its recent stamps wrote. A
+//! fresh array is `2m²` zero bytes and a palette of one content, so a fresh
+//! verifier's payload is `10m² + 12m + 8` bytes, against `24m² + 12m` with
+//! one 8-byte word per observation. An array switches to one word per ID
+//! only if all 256 palette entries are in use at once; a group of 16 run
+//! for 50 000 same-group steps never gets there.
+//!
+//! Sharing: a store's buffers, and an observations array's bytes and
+//! palette, are copy-on-write payloads. Cloning a store or an observations
+//! array (as the state interner, the support probe and `decode` do) bumps a
+//! reference count and shares the buffers; the first write through one of
+//! the sharers copies them (an array's bytes, not words). The kernel writes
+//! each step's stores into buffers of its own and trades them for the
+//! buffers of unshared stores (a shared store gets an exact copy). Each
+//! payload also caches its content hash, so hashing a verifier state reads
+//! two cached words instead of its messages and observations; an
+//! observations array hashes as the `Vec<u64>` of its values would.
 //!
 //! Sizing (for a group of size `m`): every rank governs `2m²` message IDs;
 //! the agent at in-group position `p` initially holds, for *every* governing
@@ -672,18 +682,156 @@ fn merge_into(out: &mut Vec<u32>, mut a: &[u32], mut b: &[u32]) {
     out.extend_from_slice(b);
 }
 
-/// The dense `observations` array of an agent: `observations[id - 1]` is the
-/// content the agent last wrote into its own message with that ID.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The `observations` array of an agent: entry `id` is the content the agent
+/// last wrote into its own message with that ID.
+///
+/// Stored as one byte per ID, indexing a palette of distinct contents: a
+/// content ranges over `m⁵` signatures, but an owner's observations hold
+/// only the few its recent stamps wrote. A content missing from a full
+/// palette first drops the entries no ID uses any more; only if all 256
+/// are in use does the array switch to one word per ID, so it holds any
+/// values exactly. `Eq`, `Hash` and `Debug` see the values, not the
+/// layout: equal arrays compare and hash equal however they are stored.
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Observations {
-    values: Shared<Vec<u64>>,
+    values: Shared<Cells>,
+}
+
+/// The most contents a palette holds: one per value of an index byte.
+const PALETTE_SIZE: usize = 1 << u8::BITS;
+
+/// The payload of an [`Observations`] array.
+#[derive(Clone)]
+enum Cells {
+    /// `palette[slots[id - 1]]` is the observation of `id`. The palette's
+    /// entries are distinct, so equal slots mean equal contents.
+    Palette { slots: Vec<u8>, palette: Vec<u64> },
+    /// `values[id - 1]` is the observation of `id`.
+    Dense(Vec<u64>),
+}
+
+impl Cells {
+    fn len(&self) -> usize {
+        match self {
+            Cells::Palette { slots, .. } => slots.len(),
+            Cells::Dense(values) => values.len(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, index: usize) -> u64 {
+        match self {
+            Cells::Palette { slots, palette } => palette[usize::from(slots[index])],
+            Cells::Dense(values) => values[index],
+        }
+    }
+
+    fn values(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.len()).map(|index| self.get(index))
+    }
+
+    /// The slot of `content`, added if missing; `None` once the array is
+    /// dense, which it becomes here if the palette is full and every entry
+    /// is in use.
+    fn slot_of(&mut self, content: u64) -> Option<u8> {
+        let Cells::Palette { slots, palette } = self else {
+            return None;
+        };
+        // The latest signatures sit at the end.
+        if let Some(slot) = palette.iter().rposition(|&c| c == content) {
+            return Some(slot as u8);
+        }
+        if palette.len() == PALETTE_SIZE {
+            drop_unused(slots, palette);
+        }
+        if palette.len() == PALETTE_SIZE {
+            let values = slots.iter().map(|&s| palette[usize::from(s)]).collect();
+            *self = Cells::Dense(values);
+            return None;
+        }
+        palette.push(content);
+        Some((palette.len() - 1) as u8)
+    }
+}
+
+/// Drops the palette entries no slot points at, keeping the others in
+/// order (so they stay distinct), and renumbers the slots.
+fn drop_unused(slots: &mut [u8], palette: &mut Vec<u64>) {
+    let mut used = [false; PALETTE_SIZE];
+    for &slot in slots.iter() {
+        used[usize::from(slot)] = true;
+    }
+    let mut renumbered = [0u8; PALETTE_SIZE];
+    let mut kept = 0;
+    for old in 0..palette.len() {
+        if used[old] {
+            palette[kept] = palette[old];
+            renumbered[old] = kept as u8;
+            kept += 1;
+        }
+    }
+    palette.truncate(kept);
+    for slot in slots {
+        *slot = renumbered[usize::from(*slot)];
+    }
+}
+
+/// Logical equality: two palettes that agree entry by entry compare their
+/// slot bytes; any other pair compares value by value.
+impl PartialEq for Cells {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (
+                Cells::Palette { slots, palette },
+                Cells::Palette {
+                    slots: other_slots,
+                    palette: other_palette,
+                },
+            ) if palette == other_palette => slots == other_slots,
+            _ => self.len() == other.len() && self.values().eq(other.values()),
+        }
+    }
+}
+
+impl Eq for Cells {}
+
+/// The length, then one word per value: under [`WordHash`] exactly the hash
+/// of the values as a `Vec<u64>`.
+impl Hash for Cells {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.len());
+        match self {
+            Cells::Palette { slots, palette } => {
+                for &slot in slots {
+                    state.write_u64(palette[usize::from(slot)]);
+                }
+            }
+            Cells::Dense(values) => {
+                for &value in values {
+                    state.write_u64(value);
+                }
+            }
+        }
+    }
+}
+
+impl fmt::Debug for Observations {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let values: Vec<u64> = self.values.values().collect();
+        f.debug_struct("Observations")
+            .field("values", &values)
+            .finish()
+    }
 }
 
 impl Observations {
     /// Creates the initial observations array (all [`INITIAL_CONTENT`]).
     pub fn initial(ids_per_rank: u32) -> Self {
         Observations {
-            values: Shared::new(vec![INITIAL_CONTENT; ids_per_rank as usize]),
+            values: Shared::new(Cells::Palette {
+                slots: vec![0; ids_per_rank as usize],
+                palette: vec![INITIAL_CONTENT],
+            }),
         }
     }
 
@@ -694,25 +842,78 @@ impl Observations {
 
     /// Whether the array is empty (only for degenerate group sizes).
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.values.len() == 0
     }
 
     /// The recorded content for message `id` (1-based).
     pub fn get(&self, id: u32) -> u64 {
-        self.values[(id - 1) as usize]
+        self.values.get((id - 1) as usize)
     }
 
     /// Records `content` for message `id` (1-based). Copies the array first
-    /// if it is shared; a loop over many IDs should take
-    /// [`Self::raw_values_mut`] once instead.
+    /// if it is shared; a loop over many IDs should call [`Self::record`]
+    /// once instead.
     pub fn set(&mut self, id: u32, content: u64) {
-        self.values.make_mut()[(id - 1) as usize] = content;
+        self.record(&[id], content);
     }
 
-    /// The whole array as a mutable slice: entry `id - 1` is the observation
-    /// recorded for message `id`. Copies the array first if it is shared.
-    pub fn raw_values_mut(&mut self) -> &mut [u64] {
-        self.values.make_mut()
+    /// Records `content` for every message of `ids` (1-based), as Protocol
+    /// 13 does for the IDs it stamps. Copies the array first if it is
+    /// shared and `ids` is not empty.
+    pub fn record(&mut self, ids: &[u32], content: u64) {
+        if ids.is_empty() {
+            return;
+        }
+        let cells = self.values.make_mut();
+        let slot = cells.slot_of(content);
+        match (cells, slot) {
+            (Cells::Palette { slots, .. }, Some(slot)) => {
+                for &id in ids {
+                    slots[(id - 1) as usize] = slot;
+                }
+            }
+            (Cells::Dense(values), None) => {
+                for &id in ids {
+                    values[(id - 1) as usize] = content;
+                }
+            }
+            _ => unreachable!("a slot exactly while the array has a palette"),
+        }
+    }
+
+    /// Whether the content recorded for any message of `ids` (1-based)
+    /// differs from `content`: Protocol 12's check of one class of the
+    /// owner's messages. A content missing from the palette differs for
+    /// every ID.
+    pub fn any_differs(&self, ids: &[u32], content: u64) -> bool {
+        match &*self.values {
+            Cells::Palette { slots, palette } => {
+                match palette.iter().rposition(|&c| c == content) {
+                    Some(slot) => ids
+                        .iter()
+                        .any(|&id| usize::from(slots[(id - 1) as usize]) != slot),
+                    None => !ids.is_empty(),
+                }
+            }
+            Cells::Dense(values) => ids.iter().any(|&id| values[(id - 1) as usize] != content),
+        }
+    }
+
+    /// The bytes the array takes: one per ID plus 8 per palette entry, or 8
+    /// per ID once it has switched to one word per ID.
+    pub fn payload_bytes(&self) -> usize {
+        match &*self.values {
+            Cells::Palette { slots, palette } => {
+                slots.len() + palette.len() * std::mem::size_of::<u64>()
+            }
+            Cells::Dense(values) => values.len() * std::mem::size_of::<u64>(),
+        }
+    }
+
+    /// Whether the array has switched to one word per ID.
+    #[cfg(test)]
+    pub(crate) fn is_dense(&self) -> bool {
+        matches!(*self.values, Cells::Dense(_))
     }
 }
 
@@ -880,10 +1081,74 @@ mod tests {
         assert_eq!(o.get(8), INITIAL_CONTENT);
         o.set(3, 99);
         assert_eq!(o.get(3), 99);
-        for v in o.raw_values_mut() {
-            *v = 5;
-        }
+        o.record(&[1, 2, 3, 4, 5, 6, 7, 8], 5);
         assert_eq!(o.get(1), 5);
+        assert_eq!(o.get(3), 5);
+        assert!(!o.any_differs(&[1, 3, 8], 5));
+        assert!(o.any_differs(&[1, 3, 8], 99), "99 is no longer in use");
+        assert!(!o.any_differs(&[], 99));
+        // One byte per ID; 1, 99 and 5 have been in the palette.
+        assert_eq!(o.payload_bytes(), 8 + 3 * 8);
+    }
+
+    #[test]
+    fn a_full_palette_drops_the_contents_no_id_holds() {
+        let mut o = Observations::initial(4);
+        // Contents 1..=256 fill the palette; only the last four stay in use.
+        for content in 2..=256 {
+            o.set(1 + content as u32 % 4, content);
+        }
+        assert_eq!(o.payload_bytes(), 4 + 256 * 8);
+        let before = o.clone();
+        o.set(1, 1_000);
+        assert!(!o.is_dense());
+        assert_eq!(o.payload_bytes(), 4 + 5 * 8, "252 stale contents dropped");
+        assert_eq!(
+            (1..=4).map(|id| o.get(id)).collect::<Vec<_>>(),
+            [1_000, 253, 254, 255]
+        );
+        assert_eq!(before.get(1), 256, "the clone kept its copy");
+        // Equal values compare and hash equal however they are stored.
+        let mut rebuilt = Observations::initial(4);
+        for id in 1..=4 {
+            rebuilt.set(id, o.get(id));
+        }
+        assert_eq!(rebuilt, o);
+        assert_eq!(
+            WordHash.hash_one(&*rebuilt.values),
+            WordHash.hash_one(&*o.values)
+        );
+    }
+
+    #[test]
+    fn a_palette_with_every_entry_in_use_switches_to_words() {
+        let ids = 300;
+        let mut o = Observations::initial(ids);
+        // With the initial content, 256 contents fill the palette.
+        for id in 1..=255 {
+            o.set(id, u64::from(id) * 7);
+        }
+        assert!(!o.is_dense());
+        o.set(256, 5);
+        assert!(o.is_dense(), "all 256 entries are in use");
+        assert_eq!(o.payload_bytes(), 8 * ids as usize);
+        o.record(&[257, 258], 6);
+        let expected: Vec<u64> = (1..=u64::from(ids))
+            .map(|id| match id {
+                ..=255 => id * 7,
+                256 => 5,
+                257 | 258 => 6,
+                _ => INITIAL_CONTENT,
+            })
+            .collect();
+        assert_eq!((1..=ids).map(|id| o.get(id)).collect::<Vec<_>>(), expected);
+        assert!(!o.any_differs(&[257, 258], 6));
+        assert!(o.any_differs(&[256, 257], 6));
+        assert_eq!(
+            WordHash.hash_one(&*o.values),
+            WordHash.hash_one(&expected),
+            "the words hash as a `Vec<u64>` of the values"
+        );
     }
 
     #[test]

@@ -693,6 +693,10 @@ fn mutation_never_leaves_a_stale_hash() {
         assert_eq!(before, fresh(&base));
         let mut held: Vec<Message> = base.active().unwrap().msgs.messages_for(0).collect();
         let first = held[0];
+        let observations = &base.active().unwrap().observations;
+        let observed: Vec<u64> = (1..=observations.len() as u32)
+            .map(|id| observations.get(id))
+            .collect();
         // By ID, to look contents up when undoing the stamp.
         held.sort_unstable();
         type Edit = Box<dyn Fn(&mut CollisionState, bool)>;
@@ -751,10 +755,15 @@ fn mutation_never_leaves_a_stale_hash() {
                 }),
             ),
             (
-                "raw_values_mut",
-                Box::new(|s, undo| {
-                    for value in s.observations.raw_values_mut() {
-                        *value = if undo { *value - 1 } else { *value + 1 };
+                "observations.record",
+                Box::new(move |s, undo| {
+                    if undo {
+                        for (id, &value) in (1..).zip(&observed) {
+                            s.observations.set(id, value);
+                        }
+                    } else {
+                        let ids: Vec<u32> = (1..=observed.len() as u32).collect();
+                        s.observations.record(&ids, MAX_CONTENT);
                     }
                 }),
             ),

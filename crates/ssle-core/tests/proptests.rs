@@ -3,15 +3,16 @@
 //! load balancer, collision-detection soundness, and the ranking
 //! sub-protocol.
 
-use ppsim::{InteractionCtx, SimRng};
+use ppsim::{InteractionCtx, SimRng, WordHash};
 use proptest::prelude::*;
 use rand::RngCore;
 use ssle_core::groups::GroupPartition;
 use ssle_core::params::Params;
 use ssle_core::verify::{
     balance_load, detect_collision, initial_state, CollisionState, DetectCollisionState,
-    MessageStore, Observations, INITIAL_CONTENT,
+    MessageStore, Observations, INITIAL_CONTENT, MAX_CONTENT,
 };
+use std::hash::BuildHasher;
 
 fn arb_n_r() -> impl Strategy<Value = (usize, usize)> {
     (4usize..48).prop_flat_map(|n| (Just(n), 1usize..=(n / 2).max(1)))
@@ -130,6 +131,84 @@ proptest! {
                     prop_assert!((a - b).abs() <= 1, "content {content}: {a} vs {b}");
                 }
             }
+        }
+    }
+
+    /// An observations array reads, checks, compares and hashes exactly like
+    /// a plain `Vec<u64>` of its values, through random `set`s and `record`s
+    /// over random ID subsets. Contents come from pools of 4, 300 and `2m²`
+    /// values: the larger pools fill the 256-entry palette, so it drops
+    /// stale entries, and with enough distinct values in use switches to one
+    /// word per ID.
+    #[test]
+    fn observations_match_a_plain_word_array(
+        m in 1usize..=16,
+        pool in 0usize..3,
+        seed in any::<u64>(),
+        ops in 1usize..1000,
+        wide_records in any::<bool>(),
+    ) {
+        let ids = 2 * (m as u32) * (m as u32);
+        let pool = [4, 300, u64::from(ids)][pool];
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut below = |bound: u64| rng.next_u64() % bound;
+        // The pool's contents, spread over the whole content range.
+        let content = |index: u64| 1 + (index % pool).wrapping_mul(0x9E37_79B9_7F4A_7C15) % MAX_CONTENT;
+        // Every `stride`-th ID from a random start, up to a random count of
+        // at most one of `sizes` (so sometimes none).
+        let subset = |below: &mut dyn FnMut(u64) -> u64, sizes: &[u64]| -> Vec<u32> {
+            let start = 1 + below(u64::from(ids)) as u32;
+            let stride = 1 + below(3) as usize;
+            let most = sizes[below(sizes.len() as u64) as usize];
+            (start..=ids).step_by(stride).take(below(most + 1) as usize).collect()
+        };
+        let mut observations = Observations::initial(ids);
+        let mut model = vec![INITIAL_CONTENT; ids as usize];
+        let mut previous = (observations.clone(), model.clone());
+        let start = below(u64::from(ids)) as usize;
+        for op in 0..ops {
+            if below(4) != 0 {
+                // Sets take the IDs and the pool's contents in turn, so
+                // many contents stay in use at once.
+                let (id, value) = (1 + (start + op) as u32 % ids, content(op as u64));
+                observations.set(id, value);
+                model[(id - 1) as usize] = value;
+            } else {
+                // Narrow records, too, leave many contents in use.
+                let sizes = if wide_records { &[1, 8, 64, u64::from(ids)][..] } else { &[1, 8] };
+                let chosen = subset(&mut below, sizes);
+                let value = content(below(pool));
+                observations.record(&chosen, value);
+                for &id in &chosen {
+                    model[(id - 1) as usize] = value;
+                }
+            }
+            for id in 1..=ids {
+                prop_assert_eq!(observations.get(id), model[(id - 1) as usize], "op {}", op);
+            }
+            for _ in 0..2 {
+                let chosen = subset(&mut below, &[1, 8, 64, u64::from(ids)]);
+                // A content held somewhere, or one from the pool.
+                let value = if below(2) == 0 {
+                    model[below(u64::from(ids)) as usize]
+                } else {
+                    content(below(pool))
+                };
+                prop_assert_eq!(
+                    observations.any_differs(&chosen, value),
+                    chosen.iter().any(|&id| model[(id - 1) as usize] != value)
+                );
+            }
+            prop_assert_eq!(observations == previous.0, model == previous.1);
+            // An array feeds its cached content hash, the `WordHash` of its
+            // values as a `Vec<u64>`, to the hasher that hashes it.
+            prop_assert_eq!(
+                WordHash.hash_one(&observations),
+                WordHash.hash_one(WordHash.hash_one(&model))
+            );
+            let (payload, words) = (observations.payload_bytes(), 8 * model.len());
+            prop_assert!(payload == words || payload <= model.len() + 8 * 256);
+            previous = (observations.clone(), model.clone());
         }
     }
 
