@@ -4,16 +4,172 @@
 //! agents. [`Configuration`] is a thin, well-behaved wrapper around `Vec<S>`
 //! with the predicate helpers the experiment harness and the correctness
 //! checks need.
+//!
+//! # The key census
+//!
+//! A protocol may declare a [`CensusKey`]: a dense `u32` key per state. A
+//! configuration built from that protocol ([`Configuration::clean`],
+//! [`Configuration::from_fn`]) then keeps a census of how many agents hold
+//! each key `1..=bound`, and of how many keys are held by exactly one agent.
+//! [`Configuration::with_pair_mut`] — the per-step engine's one write path —
+//! moves the census by the two agents' old and new keys, so a predicate over
+//! key counts costs O(1) instead of a scan of all `n` agents.
+//!
+//! Every other mutable access ([`IndexMut`], [`Configuration::state_mut`],
+//! [`Configuration::iter_mut`]) marks the census *stale*: the next
+//! `with_pair_mut` rebuilds it in O(n), and until then
+//! [`Configuration::census`] returns `None`, so readers fall back to a scan.
 
 use crate::protocol::{AgentId, CleanInit, Protocol};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
+/// A dense `u32` key per state, declared by a protocol through
+/// [`Protocol::census_key`].
+///
+/// Keys `1..=bound` are counted. Key `0`, and any key above `bound`, means
+/// "not counted". The key function reads a state in place: it must not
+/// clone or hash it, because it runs four times per interaction.
+pub struct CensusKey<S> {
+    /// Maps a state to its key.
+    pub key: fn(&S) -> u32,
+    /// The largest counted key.
+    pub bound: u32,
+}
+
+impl<S> Clone for CensusKey<S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S> Copy for CensusKey<S> {}
+
+impl<S> fmt::Debug for CensusKey<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CensusKey")
+            .field("bound", &self.bound)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A fresh census: per-key agent counts of a configuration.
+#[derive(Debug, Clone, Copy)]
+pub struct Census<'a> {
+    counts: &'a [u32],
+    held_once: usize,
+}
+
+impl Census<'_> {
+    /// The number of agents holding `key` (`0` for uncounted keys).
+    pub fn count(&self, key: u32) -> usize {
+        self.counts.get(key as usize).map_or(0, |&c| c as usize)
+    }
+
+    /// The number of keys in `1..=bound` held by exactly one agent.
+    pub fn keys_held_once(&self) -> usize {
+        self.held_once
+    }
+}
+
+/// The census a configuration carries for its declared key.
+struct KeyCensus<S> {
+    spec: CensusKey<S>,
+    /// `counts[k]` agents hold key `k`; `counts[0]` stays 0. Empty until
+    /// the first rebuild.
+    counts: Vec<u32>,
+    held_once: usize,
+    fresh: bool,
+}
+
+impl<S> KeyCensus<S> {
+    fn stale(spec: CensusKey<S>) -> Self {
+        KeyCensus {
+            spec,
+            counts: Vec::new(),
+            held_once: 0,
+            fresh: false,
+        }
+    }
+
+    fn key_of(&self, state: &S) -> u32 {
+        match (self.spec.key)(state) {
+            k if k > self.spec.bound => 0,
+            k => k,
+        }
+    }
+
+    fn rebuild(&mut self, states: &[S]) {
+        self.counts.clear();
+        self.counts.resize(self.spec.bound as usize + 1, 0);
+        self.held_once = 0;
+        for state in states {
+            let key = self.key_of(state);
+            self.add(key);
+        }
+        self.fresh = true;
+    }
+
+    fn add(&mut self, key: u32) {
+        if key == 0 {
+            return;
+        }
+        let count = &mut self.counts[key as usize];
+        match *count {
+            0 => self.held_once += 1,
+            1 => self.held_once -= 1,
+            _ => {}
+        }
+        *count += 1;
+    }
+
+    fn remove(&mut self, key: u32) {
+        if key == 0 {
+            return;
+        }
+        let count = &mut self.counts[key as usize];
+        match *count {
+            1 => self.held_once -= 1,
+            2 => self.held_once += 1,
+            _ => {}
+        }
+        *count -= 1;
+    }
+
+    fn shift(&mut self, old: u32, new: u32) {
+        if old != new {
+            self.remove(old);
+            self.add(new);
+        }
+    }
+}
+
 /// A configuration of a population: the vector of all agents' states.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// Equality and [`Clone`] look at the states only: a clone carries the
+/// census key but starts stale, and two configurations with equal states
+/// are equal whatever their censuses.
 pub struct Configuration<S> {
     states: Vec<S>,
+    census: Option<KeyCensus<S>>,
 }
+
+impl<S: Clone> Clone for Configuration<S> {
+    fn clone(&self) -> Self {
+        Configuration {
+            states: self.states.clone(),
+            census: self.census.as_ref().map(|c| KeyCensus::stale(c.spec)),
+        }
+    }
+}
+
+impl<S: PartialEq> PartialEq for Configuration<S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.states == other.states
+    }
+}
+
+impl<S: Eq> Eq for Configuration<S> {}
 
 impl<S> Configuration<S> {
     /// Creates a configuration from an explicit state vector.
@@ -27,7 +183,10 @@ impl<S> Configuration<S> {
             !states.is_empty(),
             "a population must have at least one agent"
         );
-        Configuration { states }
+        Configuration {
+            states,
+            census: None,
+        }
     }
 
     /// The population size `n`.
@@ -46,8 +205,9 @@ impl<S> Configuration<S> {
         &self.states[agent.index()]
     }
 
-    /// Mutable access to an agent's state.
+    /// Mutable access to an agent's state. Marks the census stale.
     pub fn state_mut(&mut self, agent: AgentId) -> &mut S {
+        self.mark_stale();
         &mut self.states[agent.index()]
     }
 
@@ -56,8 +216,9 @@ impl<S> Configuration<S> {
         self.states.iter()
     }
 
-    /// Iterates mutably over all agents' states.
+    /// Iterates mutably over all agents' states. Marks the census stale.
     pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, S> {
+        self.mark_stale();
         self.states.iter_mut()
     }
 
@@ -86,8 +247,25 @@ impl<S> Configuration<S> {
         self.states.iter().any(pred)
     }
 
+    /// The census of the key declared by the protocol this configuration
+    /// was built from, if it declared one and the census is fresh. `None`
+    /// means "scan the states instead".
+    pub fn census(&self) -> Option<Census<'_>> {
+        self.census.as_ref().filter(|c| c.fresh).map(|c| Census {
+            counts: &c.counts,
+            held_once: c.held_once,
+        })
+    }
+
+    fn mark_stale(&mut self) {
+        if let Some(census) = &mut self.census {
+            census.fresh = false;
+        }
+    }
+
     /// Applies the ordered-pair transition `(u, v)` by handing mutable access
-    /// to both slots to the closure.
+    /// to both slots to the closure, and commits the pair's key changes to
+    /// the census. A stale census is rebuilt from all states instead.
     ///
     /// # Panics
     ///
@@ -96,14 +274,32 @@ impl<S> Configuration<S> {
     pub fn with_pair_mut<F: FnOnce(&mut S, &mut S)>(&mut self, u: AgentId, v: AgentId, f: F) {
         let (ui, vi) = (u.index(), v.index());
         assert_ne!(ui, vi, "an agent cannot interact with itself");
+        let states = &mut self.states;
         let (a, b) = if ui < vi {
-            let (left, right) = self.states.split_at_mut(vi);
+            let (left, right) = states.split_at_mut(vi);
             (&mut left[ui], &mut right[0])
         } else {
-            let (left, right) = self.states.split_at_mut(ui);
+            let (left, right) = states.split_at_mut(ui);
             (&mut right[0], &mut left[vi])
         };
-        f(a, b);
+        match &mut self.census {
+            None => f(a, b),
+            Some(census) if census.fresh => {
+                let (old_a, old_b) = (census.key_of(a), census.key_of(b));
+                // Stale while `f` runs, so a panic inside it cannot leave a
+                // census that disagrees with the states.
+                census.fresh = false;
+                f(a, b);
+                let (new_a, new_b) = (census.key_of(a), census.key_of(b));
+                census.shift(old_a, new_a);
+                census.shift(old_b, new_b);
+                census.fresh = true;
+            }
+            Some(census) => {
+                f(a, b);
+                census.rebuild(states);
+            }
+        }
     }
 }
 
@@ -111,15 +307,14 @@ impl<S: Clone> Configuration<S> {
     /// Creates a configuration with every agent in the same state.
     pub fn uniform(n: usize, state: S) -> Self {
         assert!(n > 0, "a population must have at least one agent");
-        Configuration {
-            states: vec![state; n],
-        }
+        Configuration::from_states(vec![state; n])
     }
 }
 
 impl<S> Configuration<S> {
     /// Creates the protocol's clean initial configuration (every agent in its
-    /// [`CleanInit::clean_state`]).
+    /// [`CleanInit::clean_state`]), counting the protocol's
+    /// [`Protocol::census_key`] if it declares one.
     pub fn clean<P>(protocol: &P) -> Configuration<P::State>
     where
         P: CleanInit<State = S>,
@@ -130,10 +325,12 @@ impl<S> Configuration<S> {
             states: (0..n)
                 .map(|i| protocol.clean_state(AgentId::new(i)))
                 .collect(),
+            census: protocol.census_key().map(KeyCensus::stale),
         }
     }
 
-    /// Creates a configuration by evaluating `f` on every agent slot.
+    /// Creates a configuration by evaluating `f` on every agent slot,
+    /// counting the protocol's [`Protocol::census_key`] if it declares one.
     pub fn from_fn<P, F>(protocol: &P, mut f: F) -> Configuration<P::State>
     where
         P: Protocol<State = S>,
@@ -143,6 +340,7 @@ impl<S> Configuration<S> {
         assert!(n > 0, "a population must have at least one agent");
         Configuration {
             states: (0..n).map(|i| f(AgentId::new(i))).collect(),
+            census: protocol.census_key().map(KeyCensus::stale),
         }
     }
 }
@@ -164,7 +362,9 @@ impl<S> Index<usize> for Configuration<S> {
 }
 
 impl<S> IndexMut<usize> for Configuration<S> {
+    /// Mutable access to an agent's state. Marks the census stale.
     fn index_mut(&mut self, index: usize) -> &mut S {
+        self.mark_stale();
         &mut self.states[index]
     }
 }
@@ -208,6 +408,82 @@ mod tests {
         fn clean_state(&self, agent: AgentId) -> u32 {
             agent.index() as u32
         }
+    }
+
+    /// States are their own keys, counted over `1..=4`.
+    struct Keyed(usize);
+    impl Protocol for Keyed {
+        type State = u32;
+        fn population_size(&self) -> usize {
+            self.0
+        }
+        fn interact(&self, _u: &mut u32, _v: &mut u32, _ctx: &mut InteractionCtx<'_>) {}
+        fn census_key(&self) -> Option<CensusKey<u32>> {
+            Some(CensusKey {
+                key: |s| *s,
+                bound: 4,
+            })
+        }
+    }
+
+    /// `(count of each key 1..=4, keys held once)` by a scan.
+    fn scanned(c: &Configuration<u32>) -> (Vec<usize>, usize) {
+        let counts: Vec<usize> = (1..=4).map(|k| c.count_where(|s| *s == k)).collect();
+        let once = counts.iter().filter(|&&c| c == 1).count();
+        (counts, once)
+    }
+
+    fn census_of(c: &Configuration<u32>) -> Option<(Vec<usize>, usize)> {
+        c.census().map(|census| {
+            (
+                (1..=4).map(|k| census.count(k)).collect(),
+                census.keys_held_once(),
+            )
+        })
+    }
+
+    #[test]
+    fn census_follows_every_commit_and_rebuilds_after_other_writes() {
+        let mut c = Configuration::from_fn(&Keyed(6), |a| a.index() as u32);
+        assert_eq!(census_of(&c), None, "stale until the first commit");
+        let pairs = [(0, 1), (2, 3), (4, 5), (1, 0), (3, 5), (5, 2)];
+        for (step, &(u, v)) in pairs.iter().cycle().take(60).enumerate() {
+            // Keys 0 and 5..=7 are uncounted; 7 > bound exercises the clamp.
+            c.with_pair_mut(AgentId::new(u), AgentId::new(v), |a, b| {
+                *a = (*a + *b + step as u32) % 8;
+                *b = (*b * 3 + 1) % 8;
+            });
+            assert_eq!(census_of(&c), Some(scanned(&c)), "step {step}");
+            match step % 4 {
+                0 => c[u] = 1,
+                1 => *c.state_mut(AgentId::new(v)) = 2,
+                2 => c.iter_mut().for_each(|s| *s = (*s + 1) % 8),
+                _ => continue,
+            }
+            assert_eq!(census_of(&c), None, "stale after a write at step {step}");
+        }
+    }
+
+    #[test]
+    fn configurations_without_a_key_keep_no_census() {
+        let mut c = Configuration::from_fn(&Noop(3), |a| a.index() as u32);
+        c.with_pair_mut(AgentId::new(0), AgentId::new(1), |a, _| *a = 1);
+        assert!(c.census().is_none());
+    }
+
+    #[test]
+    fn equality_and_clone_ignore_the_census() {
+        let mut fresh = Configuration::from_fn(&Keyed(4), |a| a.index() as u32);
+        fresh.with_pair_mut(AgentId::new(0), AgentId::new(1), |_, _| {});
+        assert!(fresh.census().is_some());
+        let plain = Configuration::from_states(fresh.as_slice().to_vec());
+        assert_eq!(fresh, plain);
+        assert_eq!(plain, fresh);
+        let mut copy = fresh.clone();
+        assert_eq!(copy, fresh);
+        assert!(copy.census().is_none(), "a clone starts stale");
+        copy.with_pair_mut(AgentId::new(2), AgentId::new(3), |_, _| {});
+        assert_eq!(census_of(&copy), Some(scanned(&copy)), "and keeps the key");
     }
 
     #[test]

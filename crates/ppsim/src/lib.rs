@@ -116,7 +116,7 @@ pub mod telemetry;
 
 pub use batched::BatchSimulation;
 pub use coin::SyntheticCoin;
-pub use configuration::Configuration;
+pub use configuration::{Census, CensusKey, Configuration};
 pub use convergence::{Advance, StabilizationResult};
 pub use count_config::{CountConfiguration, MAX_POPULATION};
 pub use digest::{fnv1a_64, Fnv64, WordHash};

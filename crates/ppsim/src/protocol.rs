@@ -10,6 +10,7 @@
 //! [`Protocol`] value carries its parameters and reports the population size
 //! it is defined for via [`Protocol::population_size`].
 
+use crate::configuration::CensusKey;
 use rand::RngCore;
 use std::fmt;
 
@@ -124,6 +125,13 @@ pub trait Protocol {
         responder: &mut Self::State,
         ctx: &mut InteractionCtx<'_>,
     );
+
+    /// The key whose per-key agent counts a configuration built from this
+    /// protocol keeps up to date at each interaction (see
+    /// [`crate::configuration`]). The default declares none.
+    fn census_key(&self) -> Option<CensusKey<Self::State>> {
+        None
+    }
 }
 
 /// Protocols with a well-defined clean ("freshly reset") initial state.

@@ -45,7 +45,18 @@ impl RngCore for SimRng {
 /// Panics if `bound` is zero.
 pub fn uniform_below(rng: &mut dyn RngCore, bound: u64) -> u64 {
     assert!(bound > 0, "uniform_below requires a positive bound");
-    let zone = u64::MAX - (u64::MAX % bound);
+    uniform_below_in_zone(rng, bound, rejection_zone(bound))
+}
+
+/// The rejection zone of [`uniform_below`] for a positive `bound`: the
+/// largest multiple of `bound` that does not exceed `u64::MAX`.
+pub(crate) fn rejection_zone(bound: u64) -> u64 {
+    u64::MAX - (u64::MAX % bound)
+}
+
+/// [`uniform_below`] with its zone precomputed by [`rejection_zone`]: the
+/// same draws and the same result.
+pub(crate) fn uniform_below_in_zone(rng: &mut dyn RngCore, bound: u64, zone: u64) -> u64 {
     loop {
         let x = rng.next_u64();
         if x < zone {

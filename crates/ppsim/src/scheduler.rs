@@ -7,7 +7,7 @@
 //! sequence of pairs.
 
 use crate::protocol::AgentId;
-use crate::rng::uniform_below;
+use crate::rng::{rejection_zone, uniform_below_in_zone};
 use rand::RngCore;
 
 /// An ordered pair of interacting agents: `(initiator, responder)`.
@@ -48,24 +48,38 @@ pub trait Scheduler {
 }
 
 /// The uniformly random scheduler of the population model.
+///
+/// It draws exactly as two [`crate::rng::uniform_below`] calls would, but
+/// keeps the rejection zones of `n` and `n − 1` from the last call and
+/// recomputes them only when `n` changes.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct UniformScheduler;
+pub struct UniformScheduler {
+    /// The population size the zones belong to; `0` before the first draw.
+    n: usize,
+    zone_n: u64,
+    zone_n_minus_1: u64,
+}
 
 impl UniformScheduler {
     /// Creates a uniformly random scheduler.
     pub fn new() -> Self {
-        UniformScheduler
+        UniformScheduler::default()
     }
 }
 
 impl Scheduler for UniformScheduler {
     fn next_pair(&mut self, n: usize, rng: &mut dyn RngCore) -> Option<OrderedPair> {
         assert!(n >= 2, "the uniform scheduler requires at least two agents");
+        if n != self.n {
+            self.n = n;
+            self.zone_n = rejection_zone(n as u64);
+            self.zone_n_minus_1 = rejection_zone((n - 1) as u64);
+        }
         // Sample the initiator uniformly, then the responder uniformly among
         // the remaining n-1 agents. This yields every ordered pair with
         // probability 1/(n(n-1)).
-        let u = uniform_below(rng, n as u64) as usize;
-        let mut v = uniform_below(rng, (n - 1) as u64) as usize;
+        let u = uniform_below_in_zone(rng, n as u64, self.zone_n) as usize;
+        let mut v = uniform_below_in_zone(rng, (n - 1) as u64, self.zone_n_minus_1) as usize;
         if v >= u {
             v += 1;
         }
@@ -150,6 +164,30 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn uniform_scheduler_draws_as_uniform_below_does() {
+        // Population sizes in call order, with changes of n between calls.
+        // Sizes near 2^63 reject a quarter to a half of all draws, so the
+        // rejection loop runs too.
+        let huge = (1usize << 63) + 1;
+        let sizes = [2, 3, 3, 1024, 1024, 5, huge, huge, 3 << 62, 1024, 3];
+        for seed in 0..20 {
+            let mut sched = UniformScheduler::new();
+            let mut cached = SimRng::seed_from_u64(seed);
+            let mut reference = SimRng::seed_from_u64(seed);
+            for &n in sizes.iter().cycle().take(200) {
+                let pair = sched.next_pair(n, &mut cached).unwrap();
+                let u = crate::rng::uniform_below(&mut reference, n as u64) as usize;
+                let mut v = crate::rng::uniform_below(&mut reference, (n - 1) as u64) as usize;
+                if v >= u {
+                    v += 1;
+                }
+                assert_eq!((pair.initiator.index(), pair.responder.index()), (u, v));
+            }
+            assert_eq!(cached.next_u64(), reference.next_u64(), "RNG position");
         }
     }
 

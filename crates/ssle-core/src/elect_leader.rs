@@ -17,7 +17,7 @@ use crate::verify::{
 };
 use ppsim::indexer::{deterministic_support, StateSupport};
 use ppsim::{
-    AgentId, CleanInit, InteractionCtx, LeaderOutput, Protocol, RankingOutput, SimError,
+    AgentId, CensusKey, CleanInit, InteractionCtx, LeaderOutput, Protocol, RankingOutput, SimError,
     SupportEnumerable,
 };
 
@@ -171,6 +171,15 @@ impl Protocol for ElectLeader {
         if verdicts.1 == VerifyVerdict::TriggerReset {
             trigger_reset(&self.params, v);
         }
+    }
+
+    /// The committed rank, counted over `1..=n`: the census behind
+    /// [`crate::output::is_correct_output`] and [`crate::output::leader_count`].
+    fn census_key(&self) -> Option<CensusKey<AgentState>> {
+        Some(CensusKey {
+            key: crate::output::committed_rank_key,
+            bound: u32::try_from(self.params.n).expect("ranks are u32, so n fits u32"),
+        })
     }
 }
 

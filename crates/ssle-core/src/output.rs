@@ -5,13 +5,43 @@
 //! form a permutation of `[n]`; the unique agent with rank 1 is the leader.
 //! These predicates are used by the experiment harness as stabilization
 //! criteria and by the integration tests as correctness oracles.
+//!
+//! [`ElectLeader`] declares the committed rank as its census key, so a
+//! configuration built from it counts the agents per committed rank at each
+//! interaction. [`is_correct_output`] and [`leader_count`] read that census
+//! in O(1) while it is fresh, and otherwise fall back to
+//! [`is_correct_output_scan`] and [`leader_count_scan`], which also serve
+//! as the census's test oracle.
 
 use crate::elect_leader::ElectLeader;
 use crate::state::AgentState;
-use ppsim::{Configuration, CountConfiguration, DiscoveredProtocol};
+use ppsim::{Census, Configuration, CountConfiguration, DiscoveredProtocol};
+
+/// The census key of [`ElectLeader`]: an agent's committed rank, `0` for a
+/// non-verifier.
+pub(crate) fn committed_rank_key(state: &AgentState) -> u32 {
+    state.verified_rank().unwrap_or(0)
+}
+
+/// The committed-rank census of `config`, if it keeps one and it is fresh.
+///
+/// [`ElectLeader`] is the one protocol over [`AgentState`] that declares a
+/// census key, so a census on a `Configuration<AgentState>` counts
+/// committed ranks.
+pub fn rank_census(config: &Configuration<AgentState>) -> Option<Census<'_>> {
+    config.census()
+}
 
 /// Number of agents currently marked as leader (verifiers with rank 1).
 pub fn leader_count(config: &Configuration<AgentState>) -> usize {
+    match rank_census(config) {
+        Some(census) => census.count(1),
+        None => leader_count_scan(config),
+    }
+}
+
+/// [`leader_count`] by a scan of all agents.
+pub fn leader_count_scan(config: &Configuration<AgentState>) -> usize {
     config.count_where(|s| s.verified_rank() == Some(1))
 }
 
@@ -31,7 +61,18 @@ pub fn committed_ranks(config: &Configuration<AgentState>) -> Vec<Option<u32>> {
 /// This is strictly stronger than [`has_unique_leader`]; it is the predicate
 /// whose stabilization time the experiments report (matching the paper, which
 /// proves correctness of ranking and obtains leader election as rank 1).
+///
+/// With a fresh census this is one comparison: `n` agents hold `n` distinct
+/// ranks of `[n]` exactly when `n` ranks are each held once.
 pub fn is_correct_output(config: &Configuration<AgentState>) -> bool {
+    match rank_census(config) {
+        Some(census) => census.keys_held_once() == config.len(),
+        None => is_correct_output_scan(config),
+    }
+}
+
+/// [`is_correct_output`] by a scan of all agents.
+pub fn is_correct_output_scan(config: &Configuration<AgentState>) -> bool {
     let n = config.len();
     let mut seen = vec![false; n + 1];
     for state in config.iter() {

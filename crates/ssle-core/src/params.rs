@@ -47,6 +47,22 @@ pub struct Constants {
     pub c_label: f64,
 }
 
+impl Constants {
+    /// Every field with its name, in declaration order.
+    fn fields(&self) -> [(&'static str, f64); 8] {
+        [
+            ("c_countdown", self.c_countdown),
+            ("c_prob", self.c_prob),
+            ("c_reset_count", self.c_reset_count),
+            ("c_delay", self.c_delay),
+            ("c_sleep", self.c_sleep),
+            ("c_le", self.c_le),
+            ("c_sig", self.c_sig),
+            ("c_label", self.c_label),
+        ]
+    }
+}
+
 impl Default for Constants {
     fn default() -> Self {
         Constants {
@@ -87,12 +103,23 @@ impl Params {
 
     /// Creates a validated parameter set with explicit constants.
     ///
+    /// Validation only rules out constants that make no timer at all. The
+    /// paper's constants must also be "sufficiently large", and below a
+    /// threshold the protocol livelocks instead of failing: with
+    /// `c_countdown = 1` at n = 256, r = 4, resets recur and no trial
+    /// stabilizes within `40·C_max·n` interactions (3 of 3 seeds), while
+    /// `c_countdown = 2` stabilizes with no reset. At n = 256, r = 64 the
+    /// threshold lies between 4 and 12. A per-cell threshold table for
+    /// every constant is still to be measured (ROADMAP, "Size the timers
+    /// from measurement").
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameters`] if `n < 4`, `r` is outside
     /// `1..=n/2`, the largest group of the rank partition exceeds
     /// [`MAX_GROUP_SIZE`] (its messages would not fit the 8-byte
-    /// [`Message`](crate::verify::Message)), or `c_label ≤ 1`.
+    /// [`Message`](crate::verify::Message)), a field of `constants` is not
+    /// finite and positive (the reason names the field), or `c_label ≤ 1`.
     pub fn with_constants(n: usize, r: usize, constants: Constants) -> Result<Self, SimError> {
         if n < 4 {
             return Err(SimError::InvalidParameters {
@@ -115,6 +142,13 @@ impl Params {
                      groups are limited to {MAX_GROUP_SIZE} ranks"
                 ),
             });
+        }
+        for (name, value) in constants.fields() {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(SimError::InvalidParameters {
+                    reason: format!("constant {name} = {value} must be finite and positive"),
+                });
+            }
         }
         if constants.c_label <= 1.0 {
             return Err(SimError::InvalidParameters {
@@ -243,6 +277,61 @@ mod tests {
             ..Default::default()
         };
         assert!(Params::with_constants(64, 8, c).is_err());
+    }
+
+    /// Sets one field of the default constants to each non-finite or
+    /// non-positive value and expects a rejection naming that field.
+    fn assert_field_rejected(field: &str, set: fn(&mut Constants, f64)) {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1.0] {
+            let mut c = Constants::default();
+            set(&mut c, bad);
+            match Params::with_constants(64, 8, c) {
+                Err(SimError::InvalidParameters { reason }) => {
+                    assert!(reason.contains(field), "{field} = {bad}: {reason}");
+                }
+                other => panic!("{field} = {bad}: expected InvalidParameters, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_c_countdown_rejected() {
+        assert_field_rejected("c_countdown", |c, v| c.c_countdown = v);
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_c_prob_rejected() {
+        assert_field_rejected("c_prob", |c, v| c.c_prob = v);
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_c_reset_count_rejected() {
+        assert_field_rejected("c_reset_count", |c, v| c.c_reset_count = v);
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_c_delay_rejected() {
+        assert_field_rejected("c_delay", |c, v| c.c_delay = v);
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_c_sleep_rejected() {
+        assert_field_rejected("c_sleep", |c, v| c.c_sleep = v);
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_c_le_rejected() {
+        assert_field_rejected("c_le", |c, v| c.c_le = v);
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_c_sig_rejected() {
+        assert_field_rejected("c_sig", |c, v| c.c_sig = v);
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_c_label_rejected() {
+        assert_field_rejected("c_label", |c, v| c.c_label = v);
     }
 
     #[test]

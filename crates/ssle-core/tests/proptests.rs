@@ -1,21 +1,75 @@
 //! Property-based tests for the core protocol's data structures and
 //! invariants: the rank-space partition, the circulating-message system, the
-//! load balancer, collision-detection soundness, and the ranking
-//! sub-protocol.
+//! load balancer, collision-detection soundness, the ranking sub-protocol,
+//! and the committed-rank census behind the output predicates.
 
-use ppsim::{InteractionCtx, SimRng, WordHash};
+use ppsim::{AgentId, Configuration, InteractionCtx, SimRng, Simulation, WordHash};
 use proptest::prelude::*;
 use rand::RngCore;
 use ssle_core::groups::GroupPartition;
-use ssle_core::params::Params;
+use ssle_core::output;
+use ssle_core::params::{Constants, Params};
 use ssle_core::verify::{
     balance_load, detect_collision, initial_state, CollisionState, DetectCollisionState,
     MessageStore, Observations, INITIAL_CONTENT, MAX_CONTENT,
 };
+use ssle_core::{AgentState, ElectLeader, Scenario};
 use std::hash::BuildHasher;
 
 fn arb_n_r() -> impl Strategy<Value = (usize, usize)> {
     (4usize..48).prop_flat_map(|n| (Just(n), 1usize..=(n / 2).max(1)))
+}
+
+/// A mid-run write to a simulation's configuration, made between two
+/// interactions: `(kind, agent, other agent, rank)`.
+type Corruption = (u32, usize, usize, u32);
+
+/// Applies a [`Corruption`] through one of the configuration's mutable
+/// accessors, each of which must leave the census stale.
+fn corrupt(sim: &mut Simulation<ElectLeader>, (kind, i, j, rank): Corruption) {
+    let protocol = sim.protocol().clone();
+    let n = protocol.params().n;
+    let (i, j) = (i % n, j % n);
+    let rank = 1 + rank % n as u32;
+    let config = sim.configuration_mut();
+    match kind {
+        // IndexMut: a verifier with a random rank, often a duplicate.
+        0 => config[i] = protocol.verifier_state(rank),
+        // state_mut: copy another agent's state, duplicating its rank.
+        1 => {
+            let copy = config[j].clone();
+            *config.state_mut(AgentId::new(i)) = copy;
+        }
+        // iter_mut: every agent from `i` on becomes a fresh ranker or a
+        // verifier of a shifted rank.
+        2 => {
+            for (k, state) in config.iter_mut().enumerate().skip(i) {
+                *state = if k % 2 == 0 {
+                    AgentState::fresh_ranker(protocol.params())
+                } else {
+                    protocol.verifier_state(rank + k as u32)
+                };
+            }
+        }
+        // Replace the whole configuration through `configuration_mut()`.
+        _ => {
+            let mut rng = SimRng::seed_from_u64(u64::from(rank));
+            let catalog = Scenario::catalog(n);
+            *config = catalog[j % catalog.len()].generate(&protocol, &mut rng);
+        }
+    }
+}
+
+/// Asserts that the O(1) predicates equal their scans.
+fn assert_census_exact(config: &Configuration<AgentState>) {
+    prop_assert_eq!(
+        output::is_correct_output(config),
+        output::is_correct_output_scan(config)
+    );
+    prop_assert_eq!(
+        output::leader_count(config),
+        output::leader_count_scan(config)
+    );
 }
 
 proptest! {
@@ -286,6 +340,65 @@ proptest! {
             prop_assert!(bits >= last, "bits decreased at r = {r}");
             last = bits;
             r *= 2;
+        }
+    }
+
+    /// The committed-rank census is exact: on random trajectories from every
+    /// catalog scenario, with writes through every mutable accessor between
+    /// interactions, `is_correct_output` and `leader_count` equal their
+    /// scans at every interaction, and every commit leaves the census fresh
+    /// (so the O(1) path is the one checked).
+    ///
+    /// Half the cases run with short timers. At the default ones a reset
+    /// outlasts the trajectory, so a duplicated rank is never resolved into
+    /// a correct output, and a census that miscounts a key leaving a
+    /// duplicate would go unseen.
+    #[test]
+    fn rank_census_matches_the_scans(
+        n in 8usize..=32,
+        rule in 0usize..3,
+        scenario in 0usize..12,
+        short_timers in any::<bool>(),
+        seed in any::<u64>(),
+        steps in 1u64..3000,
+        corruptions in proptest::collection::vec(
+            (0u64..3000, (0u32..4, any::<usize>(), any::<usize>(), any::<u32>())),
+            0..5,
+        ),
+    ) {
+        let r = match rule {
+            0 => 1,
+            1 => (n as f64).sqrt().ceil() as usize,
+            _ => n / 4,
+        };
+        let constants = if short_timers {
+            Constants {
+                c_countdown: 2.0,
+                c_prob: 2.0,
+                c_reset_count: 2.0,
+                c_delay: 2.0,
+                c_sleep: 2.0,
+                c_le: 4.0,
+                ..Constants::default()
+            }
+        } else {
+            Constants::default()
+        };
+        let protocol = ElectLeader::new(Params::with_constants(n, r, constants).unwrap());
+        let catalog = Scenario::catalog(n);
+        let mut rng = SimRng::seed_from_u64(seed);
+        let config = catalog[scenario % catalog.len()].generate(&protocol, &mut rng);
+        let mut sim = Simulation::new(protocol, config, seed);
+        assert_census_exact(sim.configuration());
+        for step in 0..steps {
+            for &(_, corruption) in corruptions.iter().filter(|(at, _)| *at == step) {
+                corrupt(&mut sim, corruption);
+                prop_assert!(output::rank_census(sim.configuration()).is_none());
+                assert_census_exact(sim.configuration());
+            }
+            sim.step();
+            prop_assert!(output::rank_census(sim.configuration()).is_some(), "stale at {step}");
+            assert_census_exact(sim.configuration());
         }
     }
 }
